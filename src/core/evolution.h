@@ -71,8 +71,11 @@ class EvolutionAggregate {
   EvolutionWeights& MutableNodeWeights(const AttrTuple& tuple) { return nodes_[tuple]; }
   EvolutionWeights& MutableEdgeWeights(const AttrTuplePair& pair) { return edges_[pair]; }
 
-  /// Internal: merges one component aggregate under `event`.
-  void Overlay(const AggregateGraph& component, EventType event);
+  /// Pre-sizes the maps for `nodes` node groups and `edges` edge groups.
+  void Reserve(std::size_t nodes, std::size_t edges) {
+    nodes_.reserve(nodes);
+    edges_.reserve(edges);
+  }
 
  private:
   NodeMap nodes_;
@@ -94,6 +97,13 @@ class EvolutionAggregate {
 /// hides (node, time) appearances, which is how the paper's Fig 12 restricts
 /// the evolution graph to high-activity authors (#publications > 4): an
 /// entity filtered out of one interval entirely is treated as absent there.
+///
+/// Only entities of fold(T₁) ∪ fold(T₂) are scanned. With static attributes
+/// and no filter an entity's tuple cannot change, so its event follows from
+/// fold membership alone; otherwise each entity's distinct group codes are
+/// collected with the intervals they appeared in. Weights accumulate per
+/// group code in dense per-chunk tables (hashed above the dense thresholds)
+/// and merge in chunk order (docs/KERNELS.md §9).
 EvolutionAggregate AggregateEvolution(const TemporalGraph& graph, const IntervalSet& t_old,
                                       const IntervalSet& t_new,
                                       std::span<const AttrRef> attrs,
@@ -130,17 +140,6 @@ TopEventGroups RankEventGroups(const TemporalGraph& graph, const IntervalSet& t_
                                const IntervalSet& t_new, std::span<const AttrRef> attrs,
                                EventType event, std::size_t top_k,
                                const NodeTimeFilter* filter = nullptr);
-
-/// Aggregates the evolution graph component-wise (paper: "considering each
-/// such graph separately"): the intersection and the two difference graphs
-/// are each aggregated with `options` and overlaid into one structure. Unlike
-/// `AggregateEvolution`, component aggregates follow the operator node rules
-/// verbatim (Def 2.5's endpoint rule included) and support ALL semantics.
-EvolutionAggregate AggregateEvolutionComponents(const TemporalGraph& graph,
-                                                const IntervalSet& t_old,
-                                                const IntervalSet& t_new,
-                                                std::span<const AttrRef> attrs,
-                                                const AggregationOptions& options);
 
 }  // namespace graphtempo
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -139,6 +140,12 @@ class TemporalGraph {
 
   std::optional<EdgeId> FindEdge(NodeId src, NodeId dst) const;
   std::pair<NodeId, NodeId> edge(EdgeId e) const;
+
+  /// Every edge's (src, dst), indexed by EdgeId: unchecked bulk access for
+  /// scans that visit many edges.
+  std::span<const std::pair<NodeId, NodeId>> edge_endpoints() const {
+    return edge_endpoints_;
+  }
 
   bool NodePresentAt(NodeId n, TimeId t) const { return node_presence_.Test(n, t); }
   bool EdgePresentAt(EdgeId e, TimeId t) const { return edge_presence_.Test(e, t); }

@@ -179,9 +179,12 @@ class ThreadPool {
     while (true) {
       std::shared_ptr<Job> job;
       {
+        // Bind the job inside the predicate: the owner claims chunks without
+        // the mutex, so a second FindRunnableLocked() after the wait could
+        // find the job exhausted and return nullptr.
         std::unique_lock<std::mutex> lock(mutex_);
-        work_available_.wait(lock, [&] { return FindRunnableLocked() != nullptr; });
-        job = FindRunnableLocked();
+        work_available_.wait(lock,
+                             [&] { return (job = FindRunnableLocked()) != nullptr; });
       }
       Work(*job);
     }

@@ -4,11 +4,13 @@
 
 #include <string>
 
+#include "reference_impl.h"
 #include "test_graphs.h"
 
 namespace graphtempo {
 namespace {
 
+using testing::AggregateEvolutionComponents;
 using testing::BuildPaperGraph;
 
 AttrTuple GP(const TemporalGraph& graph, const std::string& gender,

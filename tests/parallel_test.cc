@@ -157,6 +157,31 @@ TEST_F(ParallelTest, ConcurrentOwnersEachCompleteTheirOwnJob) {
   }
 }
 
+// Regression: a worker used to look the job up again after its wait
+// predicate had found one. An owner draining its own job lock-free could
+// exhaust it in between, and the worker then ran a null job. Many owners
+// issuing two-chunk jobs with empty bodies keep that window hot.
+TEST_F(ParallelTest, TinyJobsFromManyOwnersAllComplete) {
+  SetParallelism(4);
+  constexpr std::size_t kOwners = 8;
+  constexpr std::size_t kRounds = 50000;
+  std::atomic<std::uint64_t> chunks{0};
+
+  std::vector<std::thread> owners;
+  for (std::size_t o = 0; o < kOwners; ++o) {
+    owners.emplace_back([&] {
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        ParallelPartition partition(2, /*min_per_chunk=*/1, /*alignment=*/1);
+        partition.Run([&](std::size_t, std::size_t, std::size_t) {
+          chunks.fetch_add(1, std::memory_order_relaxed);
+        });
+      }
+    });
+  }
+  for (auto& owner : owners) owner.join();
+  EXPECT_EQ(chunks.load(), kOwners * kRounds * 2);
+}
+
 // Pool counters: a multi-chunk dispatch bumps jobs by 1 and chunks by the
 // chunk count; single-chunk partitions run inline and do not count.
 TEST_F(ParallelTest, PoolStatsCountJobsAndChunks) {

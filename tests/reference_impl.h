@@ -3,10 +3,13 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "core/aggregation.h"
+#include "core/evolution.h"
 #include "core/operators.h"
 #include "core/temporal_graph.h"
 
@@ -14,8 +17,9 @@
 /// Literal, definition-by-definition reference implementations of the
 /// paper's operators and aggregation, written for obviousness rather than
 /// speed: τ as std::set<TimeId>, set algebra spelled out, no bit tricks, no
-/// fast paths. The differential test suite (`reference_test.cc`) checks the
-/// optimized library against these on randomized graphs.
+/// fast paths. The differential test suites (`reference_test.cc`,
+/// `evolution_kernel_test.cc`) check the optimized library against these on
+/// randomized graphs.
 
 namespace graphtempo::testing {
 
@@ -171,6 +175,125 @@ inline AggregateGraph RefAggregate(const TemporalGraph& graph, const GraphView& 
         if (!seen.insert(pair).second) continue;
       }
       result.AddEdgeWeight(to_attr_tuple(pair.first), to_attr_tuple(pair.second), 1);
+    }
+  }
+  return result;
+}
+
+// --- Evolution (Def 2.7, Fig 4b) ----------------------------------------------------
+
+/// Distinct tuples an entity carries within `interval`: for a node, the tuple
+/// at each (present, unfiltered) time; for an edge, the endpoint tuple pair.
+template <typename TupleType, typename TupleAtFn>
+std::vector<TupleType> RefDistinctTuplesIn(const BitMatrix& presence, std::size_t row,
+                                           const IntervalSet& interval,
+                                           const TupleAtFn& tuple_at) {
+  std::vector<TupleType> tuples;
+  presence.ForEachSetBitMasked(row, interval.bits(), [&](std::size_t t_raw) {
+    TimeId t = static_cast<TimeId>(t_raw);
+    std::optional<TupleType> tuple = tuple_at(t);
+    if (!tuple.has_value()) return;
+    if (std::find(tuples.begin(), tuples.end(), *tuple) == tuples.end()) {
+      tuples.push_back(*tuple);
+    }
+  });
+  return tuples;
+}
+
+/// Adds `value` to the `event` weight of `weights`.
+inline void RefAdd(EvolutionWeights& weights, EventType event, Weight value) {
+  switch (event) {
+    case EventType::kStability:
+      weights.stability += value;
+      break;
+    case EventType::kGrowth:
+      weights.growth += value;
+      break;
+    case EventType::kShrinkage:
+      weights.shrinkage += value;
+      break;
+  }
+}
+
+/// Classifies old-vs-new tuple sets: a tuple on both sides is stable, one
+/// only on the old side shrinks, one only on the new side grows.
+template <typename TupleType, typename BumpFn>
+void RefClassifyTransitions(const std::vector<TupleType>& old_tuples,
+                            const std::vector<TupleType>& new_tuples, const BumpFn& bump) {
+  for (const TupleType& tuple : old_tuples) {
+    bool survived =
+        std::find(new_tuples.begin(), new_tuples.end(), tuple) != new_tuples.end();
+    bump(tuple, survived ? EventType::kStability : EventType::kShrinkage);
+  }
+  for (const TupleType& tuple : new_tuples) {
+    bool existed =
+        std::find(old_tuples.begin(), old_tuples.end(), tuple) != old_tuples.end();
+    if (!existed) bump(tuple, EventType::kGrowth);
+  }
+}
+
+/// `AggregateEvolution` entity by entity: every node and edge of the graph,
+/// two tuple vectors per entity, hashed weights. No fold, no packing, serial.
+inline EvolutionAggregate RefAggregateEvolution(const TemporalGraph& graph,
+                                                const IntervalSet& t_old,
+                                                const IntervalSet& t_new,
+                                                std::span<const AttrRef> attrs,
+                                                const NodeTimeFilter* filter = nullptr) {
+  EvolutionAggregate result;
+  for (NodeId n = 0; n < graph.num_nodes(); ++n) {
+    auto tuple_at = [&](TimeId t) -> std::optional<AttrTuple> {
+      if (filter != nullptr && !(*filter)(n, t)) return std::nullopt;
+      return TupleAt(graph, attrs, n, t);
+    };
+    std::vector<AttrTuple> old_tuples =
+        RefDistinctTuplesIn<AttrTuple>(graph.node_presence(), n, t_old, tuple_at);
+    std::vector<AttrTuple> new_tuples =
+        RefDistinctTuplesIn<AttrTuple>(graph.node_presence(), n, t_new, tuple_at);
+    RefClassifyTransitions<AttrTuple>(
+        old_tuples, new_tuples, [&](const AttrTuple& tuple, EventType event) {
+          RefAdd(result.MutableNodeWeights(tuple), event, 1);
+        });
+  }
+  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+    auto [src, dst] = graph.edge(e);
+    auto pair_at = [&](TimeId t) -> std::optional<AttrTuplePair> {
+      if (filter != nullptr && (!(*filter)(src, t) || !(*filter)(dst, t))) {
+        return std::nullopt;
+      }
+      return AttrTuplePair{TupleAt(graph, attrs, src, t), TupleAt(graph, attrs, dst, t)};
+    };
+    std::vector<AttrTuplePair> old_pairs =
+        RefDistinctTuplesIn<AttrTuplePair>(graph.edge_presence(), e, t_old, pair_at);
+    std::vector<AttrTuplePair> new_pairs =
+        RefDistinctTuplesIn<AttrTuplePair>(graph.edge_presence(), e, t_new, pair_at);
+    RefClassifyTransitions<AttrTuplePair>(
+        old_pairs, new_pairs, [&](const AttrTuplePair& pair, EventType event) {
+          RefAdd(result.MutableEdgeWeights(pair), event, 1);
+        });
+  }
+  return result;
+}
+
+/// Aggregates the evolution graph component-wise (paper: "considering each
+/// such graph separately"): the intersection and the two difference graphs
+/// are each aggregated with `options` and overlaid into one structure. Unlike
+/// `AggregateEvolution`, component aggregates follow the operator node rules
+/// verbatim (Def 2.5's endpoint rule included) and support ALL semantics.
+inline EvolutionAggregate AggregateEvolutionComponents(const TemporalGraph& graph,
+                                                       const IntervalSet& t_old,
+                                                       const IntervalSet& t_new,
+                                                       std::span<const AttrRef> attrs,
+                                                       const AggregationOptions& options) {
+  EvolutionGraph evolution = MakeEvolutionGraph(graph, t_old, t_new);
+  EvolutionAggregate result;
+  for (EventType event :
+       {EventType::kStability, EventType::kGrowth, EventType::kShrinkage}) {
+    AggregateGraph component = Aggregate(graph, evolution.ForEvent(event), attrs, options);
+    for (const auto& [tuple, weight] : component.nodes()) {
+      RefAdd(result.MutableNodeWeights(tuple), event, weight);
+    }
+    for (const auto& [pair, weight] : component.edges()) {
+      RefAdd(result.MutableEdgeWeights(pair), event, weight);
     }
   }
   return result;
