@@ -479,8 +479,7 @@ AggregateGraph QueryEngine::Execute(const QuerySpec& spec, const PlanOptions& op
       << "Execute() answers aggregate specs; use ExecuteResult for "
       << QueryKindName(spec.kind) << " specs";
   std::shared_lock<std::shared_mutex> reader(state_mutex_);
-  QueryResult result = ExecuteLocked(spec, options, nullptr);
-  return std::move(result.aggregate);
+  return ExecuteLocked(spec, options, nullptr, /*rank_bypass=*/false).TakeAggregate();
 }
 
 QueryResult QueryEngine::ExecuteResult(const QuerySpec& spec, const PlanOptions& options) {
@@ -489,7 +488,7 @@ QueryResult QueryEngine::ExecuteResult(const QuerySpec& spec, const PlanOptions&
 }
 
 QueryResult QueryEngine::ExecuteLocked(const QuerySpec& spec, const PlanOptions& options,
-                                       FoldCache* folds) {
+                                       FoldCache* folds, bool rank_bypass) {
   // Caller holds `state_mutex_` shared for the whole query: plan, lookup,
   // run. Writers — Refresh, EnableMaterialization, graph mutations under
   // AcquireWriterLock — are excluded until it returns, so the graph and store
@@ -511,7 +510,7 @@ QueryResult QueryEngine::ExecuteLocked(const QuerySpec& spec, const PlanOptions&
     cache_stats_.bypasses.fetch_add(1, std::memory_order_relaxed);
     CacheBypassCounter().Increment();
     if (ctx != nullptr) ctx->cache.store("bypass", std::memory_order_relaxed);
-    return Run(spec, plan, folds);
+    return Run(spec, plan, folds, rank_bypass);
   }
 
   const std::uint64_t generation = graph_->mutation_generation();
@@ -530,7 +529,7 @@ QueryResult QueryEngine::ExecuteLocked(const QuerySpec& spec, const PlanOptions&
         entry.last_used.store(
             lru_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
             std::memory_order_relaxed);
-        return entry.result;  // copy while the shared lock pins the entry
+        return entry.result;  // a handle copy: the answer is shared, not copied
       }
     }
   }
@@ -544,14 +543,14 @@ QueryResult QueryEngine::ExecuteLocked(const QuerySpec& spec, const PlanOptions&
       CacheHitCounter().Increment();
       if (ctx != nullptr) ctx->cache.store("hit", std::memory_order_relaxed);
       InsertResult(spec, plan, *reloaded, generation);
-      return *std::move(reloaded);
+      return *reloaded;
     }
   }
   cache_stats_.misses.fetch_add(1, std::memory_order_relaxed);
   CacheMissCounter().Increment();
   if (ctx != nullptr) ctx->cache.store("miss", std::memory_order_relaxed);
 
-  QueryResult result = Run(spec, plan, folds);
+  QueryResult result = Run(spec, plan, folds, /*rank=*/true);
   InsertResult(spec, plan, result, generation);
   return result;
 }
@@ -638,34 +637,38 @@ void QueryEngine::InsertResult(const QuerySpec& spec, const QueryPlan& plan,
 }
 
 QueryResult QueryEngine::Run(const QuerySpec& spec, const QueryPlan& plan,
-                             FoldCache* folds) {
-  QueryResult out;
-  out.kind = spec.kind;
+                             FoldCache* folds, bool rank) {
   if (spec.kind == QueryKind::kEvolution) {
     RouteDirectCounter().Increment();
-    GT_SPAN("engine/evolution");
-    out.evolution =
-        AggregateEvolution(*graph_, spec.t1, spec.t2, spec.attrs, spec.filter);
-    return out;
+    EvolutionAggregate evolution;
+    {
+      GT_SPAN("engine/evolution");
+      evolution = AggregateEvolution(*graph_, spec.t1, spec.t2, spec.attrs, spec.filter);
+    }
+    GT_SPAN("engine/rank");
+    return QueryResult(std::move(evolution));
   }
   if (spec.kind == QueryKind::kExplore) {
     RouteDirectCounter().Increment();
     GT_SPAN("engine/explore");
-    out.exploration = Explore(*graph_, spec.explore);
-    return out;
+    return QueryResult(Explore(*graph_, spec.explore));
   }
+  AggregateGraph aggregate;
   switch (plan.route) {
     case PlanRoute::kDirectKernel:
       RouteDirectCounter().Increment();
-      out.aggregate = RunDirect(spec, plan, folds);
-      return out;
+      aggregate = RunDirect(spec, plan, folds);
+      break;
     case PlanRoute::kMaterializedDerivation:
       RouteMaterializedCounter().Increment();
-      out.aggregate = RunMaterialized(spec, plan);
-      return out;
+      aggregate = RunMaterialized(spec, plan);
+      break;
+    default:
+      GT_CHECK(false) << "unreachable plan route";
   }
-  GT_CHECK(false) << "unreachable plan route";
-  return out;
+  if (!rank) return QueryResult::Unranked(std::move(aggregate));
+  GT_SPAN("engine/rank");
+  return QueryResult(std::move(aggregate));
 }
 
 AggregateGraph QueryEngine::RunDirect(const QuerySpec& spec, const QueryPlan& /*plan*/,
@@ -831,21 +834,18 @@ std::optional<QueryResult> QueryEngine::TryLoadSpilledResult(std::uint64_t finge
   if (!DecodeAggregateGraphs(*bytes, &layers, &decode_error) || layers.size() != 1) {
     return std::nullopt;
   }
-  QueryResult result;
-  result.kind = QueryKind::kAggregate;
-  result.aggregate = std::move(layers[0]);
   ResultReloadCounter().Increment();
-  return result;
+  return QueryResult(std::move(layers[0]));  // ranked here, like a fresh answer
 }
 
 void QueryEngine::SpillEvictedResult(std::uint64_t fingerprint,
                                      const CachedResult& victim) {
   // Only aggregate answers have a byte encoding; evolution/exploration
   // results (and everything when spilling is off) are dropped as before.
-  if (spill_ == nullptr || victim.result.kind != QueryKind::kAggregate) return;
+  if (spill_ == nullptr || victim.result.kind() != QueryKind::kAggregate) return;
   const std::string key = "result_" + HexFingerprint(fingerprint);
   std::vector<AggregateGraph> one;
-  one.push_back(victim.result.aggregate);
+  one.push_back(victim.result.aggregate());
   if (!spill_->Put(key, EncodeAggregateGraphs(one))) return;
   std::lock_guard<std::mutex> lock(spill_mutex_);
   spilled_results_[fingerprint] =

@@ -17,6 +17,7 @@
 #include "core/materialization.h"
 #include "engine/plan.h"
 #include "engine/query_spec.h"
+#include "engine/result.h"
 #include "storage/spill.h"
 
 /// \file
@@ -53,6 +54,8 @@
 ///     Section 4.3 cube lattice (`DerivationStats` counts the savings);
 ///   * whole results in a bounded sloppy-LRU cache keyed by
 ///     `QuerySpec::Fingerprint` with a full `EquivalentTo` collision guard.
+///     An entry holds a `QueryResult` handle to one immutable, ranked
+///     answer (engine/result.h); a hit copies the handle, not the maps.
 ///     The cache is sharded by fingerprint so concurrent hits on different
 ///     shards never contend on one map mutex. Each entry is stamped with the
 ///     graph's `mutation_generation()` and the spec's `DependencyInterval()`;
@@ -103,15 +106,6 @@ class RequestContext;  // obs/context.h
 namespace graphtempo::engine {
 
 class FoldCache;  // engine/batch.h — shared presence-fold memo for batches
-
-/// The result of one executed spec: exactly one member is populated,
-/// selected by `kind` (which mirrors the spec's kind).
-struct QueryResult {
-  QueryKind kind = QueryKind::kAggregate;
-  AggregateGraph aggregate;        ///< kind == kAggregate
-  EvolutionAggregate evolution;    ///< kind == kEvolution
-  ExplorationResult exploration;   ///< kind == kExplore
-};
 
 class QueryEngine {
  public:
@@ -197,7 +191,9 @@ class QueryEngine {
   AggregateGraph Execute(const QuerySpec& spec) { return Execute(spec, PlanOptions{}); }
   AggregateGraph Execute(const QuerySpec& spec, const PlanOptions& options);
 
-  /// Kind-generic execution (evolution and exploration specs included).
+  /// Kind-generic execution (evolution and exploration specs included). The
+  /// result is a handle to the ranked answer the result cache shares
+  /// (engine/result.h): a cache hit copies a pointer.
   QueryResult ExecuteResult(const QuerySpec& spec) {
     return ExecuteResult(spec, PlanOptions{});
   }
@@ -309,7 +305,7 @@ class QueryEngine {
           last_used(last_used_in) {}
 
     QuerySpec spec;                ///< collision guard (EquivalentTo)
-    QueryResult result;
+    QueryResult result;            ///< handle to the shared, ranked answer
     IntervalSet dependencies;      ///< spec.DependencyInterval() at fill time
     std::uint64_t generation = 0;  ///< graph generation the result reflects
     std::atomic<std::uint64_t> last_used{0};  ///< sloppy-LRU clock stamp
@@ -380,10 +376,16 @@ class QueryEngine {
   /// The whole execute pipeline minus the reader lock: plan, cache probe,
   /// run, fill. Callers hold `state_mutex_` shared. `folds` (optional)
   /// routes direct-route operator folds through a batch-shared cache.
+  /// `rank_bypass = false` leaves an answer that bypasses the cache unranked
+  /// (`Execute` takes the aggregate straight back out); cached answers are
+  /// always ranked.
   QueryResult ExecuteLocked(const QuerySpec& spec, const PlanOptions& options,
-                            FoldCache* folds);
+                            FoldCache* folds, bool rank_bypass = true);
 
-  QueryResult Run(const QuerySpec& spec, const QueryPlan& plan, FoldCache* folds);
+  /// Computes the answer for `spec` along `plan`, ranked unless `rank` is
+  /// false (aggregate specs only).
+  QueryResult Run(const QuerySpec& spec, const QueryPlan& plan, FoldCache* folds,
+                  bool rank);
   AggregateGraph RunDirect(const QuerySpec& spec, const QueryPlan& plan,
                            FoldCache* folds);
   AggregateGraph RunMaterialized(const QuerySpec& spec, const QueryPlan& plan);

@@ -1,37 +1,22 @@
 #include "engine/wire.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
+#include <span>
+#include <string_view>
 
+#include "util/check.h"
 #include "util/string_util.h"
 
 namespace graphtempo::engine::wire {
 
 namespace {
 
-/// Weight descending, then tuple codes ascending — a total order over
-/// aggregate rows, so serialization is deterministic across runs and hosts.
-int CompareTuples(const AttrTuple& a, const AttrTuple& b) {
-  for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
-    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
-  }
-  if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
-  return 0;
-}
-
-json::Value TupleToJson(const TemporalGraph& graph, std::span<const AttrRef> attrs,
-                        const AttrTuple& tuple) {
-  json::Value array = json::Value::Array();
-  for (std::size_t i = 0; i < tuple.size(); ++i) {
-    if (tuple[i] == kNoValue) {
-      array.Append(json::Value::Null());
-    } else {
-      array.Append(json::Value::String(graph.ValueName(attrs[i], tuple[i])));
-    }
-  }
-  return array;
-}
+// The response writers below append straight into one std::string: no
+// json::Value tree, no per-row copies. Their bytes are exactly what the DOM
+// renderers in tests/reference_impl.h produce (pinned by wire_test).
 
 std::string FingerprintHex(std::uint64_t fingerprint) {
   char buffer[24];
@@ -47,9 +32,168 @@ std::string IntervalLabel(const TemporalGraph& graph, const IntervalSet& interva
   return graph.time_label(first) + ".." + graph.time_label(last);
 }
 
-}  // namespace
+/// `text` as a JSON string literal.
+void AppendQuoted(std::string_view text, std::string* out) {
+  out->push_back('"');
+  json::EscapeString(text, out);
+  out->push_back('"');
+}
 
-namespace {
+/// `,"key":` — every member after an object's first.
+void AppendKey(std::string_view key, std::string* out) {
+  out->append(",\"");
+  out->append(key);
+  out->append("\":");
+}
+
+template <typename Int>
+void AppendInt(Int value, std::string* out) {
+  char buffer[24];
+  const std::to_chars_result result = std::to_chars(buffer, buffer + sizeof(buffer), value);
+  out->append(buffer, result.ptr);
+}
+
+/// Rows a section writes: all of them when `top` is 0, else the first `top`.
+std::size_t RowLimit(std::size_t top, std::size_t rows) {
+  return top == 0 ? rows : std::min(top, rows);
+}
+
+/// Writes `count` comma-separated rows through `write_row(i)`. Once a sample
+/// of rows shows their average size, it reserves the rest of the section in
+/// one step: a multi-megabyte answer then costs one allocation instead of a
+/// doubling series whose last step briefly holds the body twice.
+template <typename WriteRow>
+void AppendRows(std::size_t count, std::string* out, WriteRow write_row) {
+  constexpr std::size_t kSample = 32;
+  const std::size_t start = out->size();
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i == kSample) {
+      const std::size_t per_row = (out->size() - start) / kSample + 1;
+      const std::size_t rest = per_row * (count - kSample);
+      out->reserve(out->size() + rest + rest / 8 + 64);
+    }
+    if (i != 0) out->push_back(',');
+    write_row(i);
+  }
+}
+
+/// Renders attribute tuples for one response. Each (attribute position,
+/// code) label is escaped and quoted the first time it appears; every later
+/// occurrence copies the cached literal.
+class TupleWriter {
+ public:
+  TupleWriter(const TemporalGraph& graph, std::span<const AttrRef> attrs)
+      : graph_(graph), attrs_(attrs), labels_(attrs.size()) {}
+
+  void Append(const AttrTuple& tuple, std::string* out) {
+    GT_DCHECK(tuple.size() <= attrs_.size());
+    out->push_back('[');
+    for (std::size_t i = 0; i < tuple.size(); ++i) {
+      if (i != 0) out->push_back(',');
+      if (tuple[i] == kNoValue) {
+        out->append("null");
+      } else {
+        out->append(Label(i, tuple[i]));
+      }
+    }
+    out->push_back(']');
+  }
+
+ private:
+  const std::string& Label(std::size_t position, AttrValueId code) {
+    std::vector<std::string>& cache = labels_[position];
+    if (code >= cache.size()) cache.resize(static_cast<std::size_t>(code) + 1);
+    std::string& label = cache[code];
+    // Never empty once filled: a quoted literal carries its quotes.
+    if (label.empty()) AppendQuoted(graph_.ValueName(attrs_[position], code), &label);
+    return label;
+  }
+
+  const TemporalGraph& graph_;
+  std::span<const AttrRef> attrs_;
+  std::vector<std::vector<std::string>> labels_;  ///< [position][code]
+};
+
+void AppendWeights(Weight weight, std::string* out) {
+  out->append(",\"weight\":");
+  AppendInt(weight, out);
+}
+
+void AppendWeights(const EvolutionWeights& weights, std::string* out) {
+  out->append(",\"stability\":");
+  AppendInt(weights.stability, out);
+  out->append(",\"growth\":");
+  AppendInt(weights.growth, out);
+  out->append(",\"shrinkage\":");
+  AppendInt(weights.shrinkage, out);
+}
+
+/// `"fingerprint":…,"route":…` — members every response carries first
+/// (after `"kind"`, for the kinds that have one).
+void AppendHeader(const QueryPlan& plan, std::string* out) {
+  out->append("\"fingerprint\":");
+  AppendQuoted(FingerprintHex(plan.fingerprint), out);
+  AppendKey("route", out);
+  AppendQuoted(PlanRouteName(plan.route), out);
+}
+
+/// `,"node_count":…,"edge_count":…,"nodes":[…],"edges":[…]}` for a ranked
+/// aggregate or evolution answer; `top` caps each list to a prefix.
+template <typename Graph>
+void AppendGraphBody(const TemporalGraph& graph, const QuerySpec& spec,
+                     const RankedRows<Graph>& rows, std::size_t top, std::string* out) {
+  AppendKey("node_count", out);
+  AppendInt(static_cast<std::uint64_t>(rows.nodes.size()), out);
+  AppendKey("edge_count", out);
+  AppendInt(static_cast<std::uint64_t>(rows.edges.size()), out);
+  TupleWriter tuples(graph, spec.attrs);
+  AppendKey("nodes", out);
+  out->push_back('[');
+  AppendRows(RowLimit(top, rows.nodes.size()), out, [&](std::size_t i) {
+    out->append("{\"tuple\":");
+    tuples.Append(rows.nodes[i]->first, out);
+    AppendWeights(rows.nodes[i]->second, out);
+    out->push_back('}');
+  });
+  out->push_back(']');
+  AppendKey("edges", out);
+  out->push_back('[');
+  AppendRows(RowLimit(top, rows.edges.size()), out, [&](std::size_t i) {
+    out->append("{\"src\":");
+    tuples.Append(rows.edges[i]->first.src, out);
+    out->append(",\"dst\":");
+    tuples.Append(rows.edges[i]->first.dst, out);
+    AppendWeights(rows.edges[i]->second, out);
+    out->push_back('}');
+  });
+  out->append("]}");
+}
+
+std::string WriteAggregate(const TemporalGraph& graph, const QuerySpec& spec,
+                           const QueryPlan& plan, const RankedRows<AggregateGraph>& rows,
+                           std::size_t top) {
+  std::string out = "{";
+  AppendHeader(plan, &out);
+  AppendKey("interval", &out);
+  AppendQuoted(IntervalLabel(graph, spec.EvaluationInterval()), &out);
+  AppendKey("semantics", &out);
+  AppendQuoted(spec.semantics == AggregationSemantics::kDistinct ? "DIST" : "ALL", &out);
+  AppendGraphBody(graph, spec, rows, top, &out);
+  return out;
+}
+
+std::string WriteEvolution(const TemporalGraph& graph, const QuerySpec& spec,
+                           const QueryPlan& plan,
+                           const RankedRows<EvolutionAggregate>& rows, std::size_t top) {
+  std::string out = "{\"kind\":\"evolution\",";
+  AppendHeader(plan, &out);
+  AppendKey("old", &out);
+  AppendQuoted(IntervalLabel(graph, spec.t1), &out);
+  AppendKey("new", &out);
+  AppendQuoted(IntervalLabel(graph, spec.t2), &out);
+  AppendGraphBody(graph, spec, rows, top, &out);
+  return out;
+}
 
 /// Shared `"attrs"` parsing: an array of known attribute names, at most
 /// kMaxAttrs. `required` distinguishes aggregate/evolution (≥1 name) from
@@ -318,12 +462,7 @@ std::optional<QuerySpec> BindQuerySpec(const TemporalGraph& graph,
     return std::nullopt;
   }
 
-  const json::Value* t1 = request.Find("t1");
-  if (t1 == nullptr || !t1->is_string()) {
-    *error = "'t1' is required (a time point or \"a..b\" range string)";
-    return std::nullopt;
-  }
-  std::optional<IntervalSet> t1_parsed = ParseInterval(graph, t1->AsString(), error);
+  std::optional<IntervalSet> t1_parsed = ParseIntervalField(graph, request, "t1", error);
   if (!t1_parsed.has_value()) return std::nullopt;
   spec.t1 = *t1_parsed;
 
@@ -341,26 +480,8 @@ std::optional<QuerySpec> BindQuerySpec(const TemporalGraph& graph,
     }
   }
 
-  const json::Value* attrs = request.Find("attrs");
-  if (attrs == nullptr || !attrs->is_array() || attrs->AsArray().empty()) {
-    *error = "'attrs' is required (a non-empty array of attribute names)";
+  if (!ParseAttrsField(graph, request, /*required=*/true, &spec.attrs, error)) {
     return std::nullopt;
-  }
-  for (const json::Value& name : attrs->AsArray()) {
-    if (!name.is_string()) {
-      *error = "'attrs' entries must be strings";
-      return std::nullopt;
-    }
-    std::optional<AttrRef> ref = graph.FindAttribute(name.AsString());
-    if (!ref.has_value()) {
-      *error = "unknown attribute '" + name.AsString() + "'";
-      return std::nullopt;
-    }
-    if (spec.attrs.size() >= AttrTuple::kMaxAttrs) {
-      *error = "too many attributes (max " + std::to_string(AttrTuple::kMaxAttrs) + ")";
-      return std::nullopt;
-    }
-    spec.attrs.push_back(*ref);
   }
 
   std::string semantics = "dist";
@@ -407,217 +528,107 @@ std::optional<QuerySpec> BindQuerySpec(const TemporalGraph& graph,
     spec.symmetrize = value->AsBool();
   }
 
-  if (options != nullptr) {
-    *options = RequestOptions{};
-    if (const json::Value* value = request.Find("explain")) {
-      if (!value->is_bool()) {
-        *error = "'explain' must be a bool";
-        return std::nullopt;
-      }
-      options->explain = value->AsBool();
-    }
-    if (const json::Value* value = request.Find("top")) {
-      std::optional<std::uint64_t> top = value->AsUint64();
-      if (!top.has_value()) {
-        *error = "'top' must be a non-negative integer";
-        return std::nullopt;
-      }
-      options->top = static_cast<std::size_t>(*top);
-    }
-  }
+  if (!ParseRequestOptions(request, options, error)) return std::nullopt;
   return spec;
 }
 
 std::string ResultToJson(const TemporalGraph& graph, const QuerySpec& spec,
                          const QueryPlan& plan, const AggregateGraph& result,
                          std::size_t top) {
-  std::vector<std::pair<AttrTuple, Weight>> nodes(result.nodes().begin(),
-                                                  result.nodes().end());
-  std::sort(nodes.begin(), nodes.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return CompareTuples(a.first, b.first) < 0;
-  });
-  std::vector<std::pair<AttrTuplePair, Weight>> edges(result.edges().begin(),
-                                                      result.edges().end());
-  std::sort(edges.begin(), edges.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    int src = CompareTuples(a.first.src, b.first.src);
-    if (src != 0) return src < 0;
-    return CompareTuples(a.first.dst, b.first.dst) < 0;
-  });
-
-  json::Value response = json::Value::Object();
-  response.Set("fingerprint", json::Value::String(FingerprintHex(plan.fingerprint)));
-  response.Set("route", json::Value::String(PlanRouteName(plan.route)));
-  response.Set("interval",
-               json::Value::String(IntervalLabel(graph, spec.EvaluationInterval())));
-  response.Set("semantics",
-               json::Value::String(
-                   spec.semantics == AggregationSemantics::kDistinct ? "DIST" : "ALL"));
-  response.Set("node_count", json::Value::Number(static_cast<std::uint64_t>(nodes.size())));
-  response.Set("edge_count", json::Value::Number(static_cast<std::uint64_t>(edges.size())));
-
-  json::Value node_rows = json::Value::Array();
-  std::size_t node_limit = top == 0 ? nodes.size() : std::min(top, nodes.size());
-  for (std::size_t i = 0; i < node_limit; ++i) {
-    json::Value row = json::Value::Object();
-    row.Set("tuple", TupleToJson(graph, spec.attrs, nodes[i].first));
-    row.Set("weight", json::Value::Number(static_cast<std::int64_t>(nodes[i].second)));
-    node_rows.Append(std::move(row));
-  }
-  response.Set("nodes", std::move(node_rows));
-
-  json::Value edge_rows = json::Value::Array();
-  std::size_t edge_limit = top == 0 ? edges.size() : std::min(top, edges.size());
-  for (std::size_t i = 0; i < edge_limit; ++i) {
-    json::Value row = json::Value::Object();
-    row.Set("src", TupleToJson(graph, spec.attrs, edges[i].first.src));
-    row.Set("dst", TupleToJson(graph, spec.attrs, edges[i].first.dst));
-    row.Set("weight", json::Value::Number(static_cast<std::int64_t>(edges[i].second)));
-    edge_rows.Append(std::move(row));
-  }
-  response.Set("edges", std::move(edge_rows));
-  return response.Serialize();
+  return WriteAggregate(graph, spec, plan, RankRows(result), top);
 }
 
 std::string EvolutionToJson(const TemporalGraph& graph, const QuerySpec& spec,
                             const QueryPlan& plan, const EvolutionAggregate& result,
                             std::size_t top) {
-  // Total weight descending, then tuple codes ascending — the same total
-  // order discipline as aggregate rows, so responses are byte-deterministic.
-  auto total = [](const EvolutionWeights& w) {
-    return w.stability + w.growth + w.shrinkage;
-  };
-  std::vector<std::pair<AttrTuple, EvolutionWeights>> nodes(result.nodes().begin(),
-                                                            result.nodes().end());
-  std::sort(nodes.begin(), nodes.end(), [&](const auto& a, const auto& b) {
-    if (total(a.second) != total(b.second)) return total(a.second) > total(b.second);
-    return CompareTuples(a.first, b.first) < 0;
-  });
-  std::vector<std::pair<AttrTuplePair, EvolutionWeights>> edges(result.edges().begin(),
-                                                                result.edges().end());
-  std::sort(edges.begin(), edges.end(), [&](const auto& a, const auto& b) {
-    if (total(a.second) != total(b.second)) return total(a.second) > total(b.second);
-    int src = CompareTuples(a.first.src, b.first.src);
-    if (src != 0) return src < 0;
-    return CompareTuples(a.first.dst, b.first.dst) < 0;
-  });
-
-  json::Value response = json::Value::Object();
-  response.Set("kind", json::Value::String("evolution"));
-  response.Set("fingerprint", json::Value::String(FingerprintHex(plan.fingerprint)));
-  response.Set("route", json::Value::String(PlanRouteName(plan.route)));
-  response.Set("old", json::Value::String(IntervalLabel(graph, spec.t1)));
-  response.Set("new", json::Value::String(IntervalLabel(graph, spec.t2)));
-  response.Set("node_count", json::Value::Number(static_cast<std::uint64_t>(nodes.size())));
-  response.Set("edge_count", json::Value::Number(static_cast<std::uint64_t>(edges.size())));
-
-  auto weights_fields = [](json::Value* row, const EvolutionWeights& w) {
-    row->Set("stability", json::Value::Number(static_cast<std::int64_t>(w.stability)));
-    row->Set("growth", json::Value::Number(static_cast<std::int64_t>(w.growth)));
-    row->Set("shrinkage", json::Value::Number(static_cast<std::int64_t>(w.shrinkage)));
-  };
-
-  json::Value node_rows = json::Value::Array();
-  std::size_t node_limit = top == 0 ? nodes.size() : std::min(top, nodes.size());
-  for (std::size_t i = 0; i < node_limit; ++i) {
-    json::Value row = json::Value::Object();
-    row.Set("tuple", TupleToJson(graph, spec.attrs, nodes[i].first));
-    weights_fields(&row, nodes[i].second);
-    node_rows.Append(std::move(row));
-  }
-  response.Set("nodes", std::move(node_rows));
-
-  json::Value edge_rows = json::Value::Array();
-  std::size_t edge_limit = top == 0 ? edges.size() : std::min(top, edges.size());
-  for (std::size_t i = 0; i < edge_limit; ++i) {
-    json::Value row = json::Value::Object();
-    row.Set("src", TupleToJson(graph, spec.attrs, edges[i].first.src));
-    row.Set("dst", TupleToJson(graph, spec.attrs, edges[i].first.dst));
-    weights_fields(&row, edges[i].second);
-    edge_rows.Append(std::move(row));
-  }
-  response.Set("edges", std::move(edge_rows));
-  return response.Serialize();
+  return WriteEvolution(graph, spec, plan, RankRows(result), top);
 }
 
 std::string ExplorationToJson(const TemporalGraph& graph, const QuerySpec& spec,
                               const QueryPlan& plan, const ExplorationResult& result,
                               std::size_t top) {
-  json::Value response = json::Value::Object();
-  response.Set("kind", json::Value::String("explore"));
-  response.Set("fingerprint", json::Value::String(FingerprintHex(plan.fingerprint)));
-  response.Set("route", json::Value::String(PlanRouteName(plan.route)));
-  response.Set("event", json::Value::String(EventTypeName(spec.explore.event)));
-  response.Set("extension",
-               json::Value::String(spec.explore.semantics == ExtensionSemantics::kUnion
-                                       ? "union"
-                                       : "intersection"));
-  response.Set("reference",
-               json::Value::String(spec.explore.reference == ReferenceEnd::kOld
-                                       ? "old"
-                                       : "new"));
-  response.Set("k", json::Value::Number(static_cast<std::uint64_t>(spec.explore.k)));
-  response.Set("pair_count",
-               json::Value::Number(static_cast<std::uint64_t>(result.pairs.size())));
-  response.Set("evaluations",
-               json::Value::Number(static_cast<std::uint64_t>(result.evaluations)));
+  std::string out = "{\"kind\":\"explore\",";
+  AppendHeader(plan, &out);
+  AppendKey("event", &out);
+  AppendQuoted(EventTypeName(spec.explore.event), &out);
+  AppendKey("extension", &out);
+  AppendQuoted(spec.explore.semantics == ExtensionSemantics::kUnion ? "union"
+                                                                     : "intersection",
+               &out);
+  AppendKey("reference", &out);
+  AppendQuoted(spec.explore.reference == ReferenceEnd::kOld ? "old" : "new", &out);
+  AppendKey("k", &out);
+  AppendInt(static_cast<std::uint64_t>(spec.explore.k), &out);
+  AppendKey("pair_count", &out);
+  AppendInt(static_cast<std::uint64_t>(result.pairs.size()), &out);
+  AppendKey("evaluations", &out);
+  AppendInt(static_cast<std::uint64_t>(result.evaluations), &out);
 
   auto range_label = [&](TimeRange range) {
     if (range.first == range.last) return graph.time_label(range.first);
     return graph.time_label(range.first) + ".." + graph.time_label(range.last);
   };
-  json::Value pair_rows = json::Value::Array();
-  std::size_t limit = top == 0 ? result.pairs.size() : std::min(top, result.pairs.size());
-  for (std::size_t i = 0; i < limit; ++i) {
+  AppendKey("pairs", &out);
+  out.push_back('[');
+  AppendRows(RowLimit(top, result.pairs.size()), &out, [&](std::size_t i) {
     const IntervalPair& pair = result.pairs[i];
-    json::Value row = json::Value::Object();
-    row.Set("old", json::Value::String(range_label(pair.old_range)));
-    row.Set("new", json::Value::String(range_label(pair.new_range)));
-    row.Set("count", json::Value::Number(static_cast<std::int64_t>(pair.count)));
-    pair_rows.Append(std::move(row));
-  }
-  response.Set("pairs", std::move(pair_rows));
-  return response.Serialize();
+    out.append("{\"old\":");
+    AppendQuoted(range_label(pair.old_range), &out);
+    out.append(",\"new\":");
+    AppendQuoted(range_label(pair.new_range), &out);
+    out.append(",\"count\":");
+    AppendInt(pair.count, &out);
+    out.push_back('}');
+  });
+  out.append("]}");
+  return out;
 }
 
 std::string QueryResultToJson(const TemporalGraph& graph, const QuerySpec& spec,
                               const QueryPlan& plan, const QueryResult& result,
                               std::size_t top) {
-  switch (result.kind) {
+  switch (result.kind()) {
     case QueryKind::kAggregate:
-      return ResultToJson(graph, spec, plan, result.aggregate, top);
+      return WriteAggregate(graph, spec, plan, result.aggregate_rows(), top);
     case QueryKind::kEvolution:
-      return EvolutionToJson(graph, spec, plan, result.evolution, top);
+      return WriteEvolution(graph, spec, plan, result.evolution_rows(), top);
     case QueryKind::kExplore:
-      return ExplorationToJson(graph, spec, plan, result.exploration, top);
+      return ExplorationToJson(graph, spec, plan, result.exploration(), top);
   }
   return "{}";
 }
 
 std::string PlanToJson(const QueryPlan& plan) {
-  json::Value response = json::Value::Object();
-  response.Set("fingerprint", json::Value::String(FingerprintHex(plan.fingerprint)));
-  response.Set("route", json::Value::String(PlanRouteName(plan.route)));
-  response.Set("cacheable", json::Value::Bool(plan.cacheable));
-  response.Set("stale_fallback", json::Value::Bool(plan.stale_fallback));
-  response.Set("planner", json::Value::String(PlannerModeName(plan.planner)));
-  response.Set("cost_direct_us", json::Value::Number(plan.cost.direct_us));
+  std::string out = "{";
+  AppendHeader(plan, &out);
+  AppendKey("cacheable", &out);
+  out.append(plan.cacheable ? "true" : "false");
+  AppendKey("stale_fallback", &out);
+  out.append(plan.stale_fallback ? "true" : "false");
+  AppendKey("planner", &out);
+  AppendQuoted(PlannerModeName(plan.planner), &out);
+  AppendKey("cost_direct_us", &out);
+  json::AppendNumber(plan.cost.direct_us, &out);
+  AppendKey("cost_materialized_us", &out);
   if (plan.cost.materialized_us >= 0.0) {
-    response.Set("cost_materialized_us", json::Value::Number(plan.cost.materialized_us));
+    json::AppendNumber(plan.cost.materialized_us, &out);
   } else {
-    response.Set("cost_materialized_us", json::Value::Null());
+    out.append("null");
   }
-  json::Value steps = json::Value::Array();
-  for (const PlanStep& step : plan.steps) {
-    json::Value row = json::Value::Object();
-    row.Set("kind", json::Value::String(step.kind));
-    row.Set("detail", json::Value::String(step.detail));
-    steps.Append(std::move(row));
-  }
-  response.Set("steps", std::move(steps));
-  response.Set("explain", json::Value::String(plan.Explain()));
-  return response.Serialize();
+  AppendKey("steps", &out);
+  out.push_back('[');
+  AppendRows(plan.steps.size(), &out, [&](std::size_t i) {
+    out.append("{\"kind\":");
+    AppendQuoted(plan.steps[i].kind, &out);
+    out.append(",\"detail\":");
+    AppendQuoted(plan.steps[i].detail, &out);
+    out.push_back('}');
+  });
+  out.push_back(']');
+  AppendKey("explain", &out);
+  AppendQuoted(plan.Explain(), &out);
+  out.push_back('}');
+  return out;
 }
 
 }  // namespace graphtempo::engine::wire

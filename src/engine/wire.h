@@ -42,6 +42,16 @@
 /// deterministic, so two servers answering the same spec emit identical
 /// bytes.
 ///
+/// Responses are written straight into one `std::string`, without a
+/// `json::Value` tree: rows come from the answer's ranking (engine/result.h,
+/// computed once when the answer is built, so `top` writes a prefix of it),
+/// each attribute label is escaped once per response and then copied, and
+/// integers go through `std::to_chars`. A response's peak memory is therefore
+/// about its body size. The DOM renderers these writers replaced live on in
+/// tests/reference_impl.h, where wire_test pins the two byte for byte.
+/// `json::Value` remains the request parser and the renderer of the small
+/// operational bodies (`/stats`, `/metrics`, errors).
+///
 /// Beyond the aggregate family, a request may carry `"kind"`:
 ///
 /// ```json
@@ -88,7 +98,8 @@ std::optional<QuerySpec> BindQuerySpec(const TemporalGraph& graph,
 
 /// Serializes an executed aggregate, deterministically ordered. `top` caps
 /// the node and edge row lists (0 = all); the `*_count` fields always report
-/// the full sizes.
+/// the full sizes. Ranks `result` first; `QueryResultToJson` reuses the
+/// ranking an engine answer already carries.
 std::string ResultToJson(const TemporalGraph& graph, const QuerySpec& spec,
                          const QueryPlan& plan, const AggregateGraph& result,
                          std::size_t top);
@@ -107,7 +118,8 @@ std::string ExplorationToJson(const TemporalGraph& graph, const QuerySpec& spec,
                               std::size_t top);
 
 /// Kind-dispatching serialization of a `QueryResult` — what the server's
-/// query handler emits. Aggregate results keep the historical byte format.
+/// query handler emits, from the answer's stored ranking (no sort, no copy).
+/// Aggregate results keep the historical byte format.
 std::string QueryResultToJson(const TemporalGraph& graph, const QuerySpec& spec,
                               const QueryPlan& plan, const QueryResult& result,
                               std::size_t top);

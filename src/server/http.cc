@@ -5,6 +5,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cctype>
@@ -36,6 +37,45 @@ bool WaitReadable(int fd, Clock::time_point deadline) {
     if (ready == 0) return false;
     if (errno != EINTR) return false;
   }
+}
+
+/// Sends every byte of `parts[0..count)` with as few `sendmsg` calls as the
+/// socket allows. A partial write may end anywhere — inside any buffer or on
+/// a boundary — and the next call resumes at that byte. A non-blocking socket
+/// that is full waits for room, so it behaves like a blocking one.
+/// EPIPE-safe: a vanished peer returns false instead of raising SIGPIPE.
+bool SendAll(int fd, struct iovec* parts, std::size_t count) {
+  while (count > 0) {
+    if (parts->iov_len == 0) {
+      ++parts;
+      --count;
+      continue;
+    }
+    struct msghdr message = {};
+    message.msg_iov = parts;
+    message.msg_iovlen = count;
+    const ssize_t wrote = ::sendmsg(fd, &message, MSG_NOSIGNAL);
+    if (wrote < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        struct pollfd entry = {fd, POLLOUT, 0};
+        if (::poll(&entry, 1, -1) < 0 && errno != EINTR) return false;
+        continue;
+      }
+      return false;
+    }
+    std::size_t advance = static_cast<std::size_t>(wrote);
+    while (advance > 0 && advance >= parts->iov_len) {
+      advance -= parts->iov_len;
+      ++parts;
+      --count;
+    }
+    if (advance > 0) {
+      parts->iov_base = static_cast<char*>(parts->iov_base) + advance;
+      parts->iov_len -= advance;
+    }
+  }
+  return true;
 }
 
 std::string Lowercase(std::string text) {
@@ -174,16 +214,8 @@ std::optional<HttpRequest> ReadHttpRequest(int fd, std::size_t max_bytes,
 }
 
 bool WriteRaw(int fd, std::string_view data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    ssize_t wrote = ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(wrote);
-  }
-  return true;
+  struct iovec part = {const_cast<char*>(data.data()), data.size()};
+  return SendAll(fd, &part, 1);
 }
 
 bool WriteHttpResponse(int fd, const HttpResponse& response, bool keep_alive) {
@@ -195,10 +227,14 @@ bool WriteHttpResponse(int fd, const HttpResponse& response, bool keep_alive) {
     head += name + ": " + value + "\r\n";
   }
   head += keep_alive ? "Connection: keep-alive\r\n\r\n" : "Connection: close\r\n\r\n";
-  // One send: splitting head/body into two writes triggers Nagle + delayed-ACK
-  // stalls (~40ms) on keep-alive sockets where no close() flushes the tail.
-  head += response.body;
-  return WriteRaw(fd, head);
+  // One sendmsg for head and body: two separate writes trigger Nagle +
+  // delayed-ACK stalls (~40ms) on keep-alive sockets where no close() flushes
+  // the tail, and gathering from two buffers spares copying a multi-megabyte
+  // body behind the head.
+  struct iovec parts[2] = {
+      {head.data(), head.size()},
+      {const_cast<char*>(response.body.data()), response.body.size()}};
+  return SendAll(fd, parts, 2);
 }
 
 std::string HttpResponse::Header(std::string_view name) const {

@@ -58,6 +58,8 @@ std::optional<HttpRequest> ReadHttpRequest(int fd, std::size_t max_bytes,
 /// Writes a complete response with Content-Length. `keep_alive` picks the
 /// Connection header: `keep-alive` keeps the socket open for the next
 /// request, `close` (the default, and the historical behaviour) ends it.
+/// Head and body leave in one gathered `sendmsg` (resumed after partial
+/// writes); the body is never copied.
 bool WriteHttpResponse(int fd, const HttpResponse& response,
                        bool keep_alive = false);
 

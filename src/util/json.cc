@@ -145,6 +145,16 @@ void EscapeString(std::string_view text, std::string* out) {
   }
 }
 
+void AppendNumber(double value, std::string* out) {
+  char buffer[32];
+  if (std::floor(value) == value && std::abs(value) < 1e15) {
+    std::snprintf(buffer, sizeof(buffer), "%lld", static_cast<long long>(value));
+  } else {
+    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+  }
+  out->append(buffer);
+}
+
 void Value::SerializeTo(std::string* out) const {
   switch (type_) {
     case Type::kNull:
@@ -156,14 +166,8 @@ void Value::SerializeTo(std::string* out) const {
     case Type::kNumber:
       if (!text_.empty()) {
         out->append(text_);
-      } else if (std::floor(number_) == number_ && std::abs(number_) < 1e15) {
-        char buffer[32];
-        std::snprintf(buffer, sizeof(buffer), "%lld", static_cast<long long>(number_));
-        out->append(buffer);
       } else {
-        char buffer[32];
-        std::snprintf(buffer, sizeof(buffer), "%.17g", number_);
-        out->append(buffer);
+        AppendNumber(number_, out);
       }
       return;
     case Type::kString:

@@ -89,6 +89,11 @@ std::optional<Value> Parse(std::string_view text, std::string* error);
 /// Escapes `text` as the *contents* of a JSON string (no surrounding quotes).
 void EscapeString(std::string_view text, std::string* out);
 
+/// Appends `value` exactly as `Value::Number(value)` serializes it: integral
+/// values below 1e15 as integers, everything else with 17 significant digits.
+/// For writers that emit JSON without building a `Value`.
+void AppendNumber(double value, std::string* out);
+
 }  // namespace graphtempo::json
 
 #endif  // GRAPHTEMPO_UTIL_JSON_H_

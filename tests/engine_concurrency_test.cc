@@ -13,11 +13,13 @@
 
 #include <atomic>
 #include <cstddef>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/aggregation.h"
 #include "core/operators.h"
+#include "engine/wire.h"
 #include "test_graphs.h"
 #include "util/parallel.h"
 
@@ -132,6 +134,56 @@ TEST(EngineConcurrencyTest, ManyReadersMixedSpecs) {
   EXPECT_EQ(stats.bypasses, 0u);
   EXPECT_GT(stats.evictions, 0u);  // capacity 3 over a 9-spec corpus churns
   EXPECT_EQ(stats.invalidations, 0u);  // static graph: nothing ever staled
+}
+
+/// Cache hits hand every reader the same immutable answer. Readers render
+/// responses from their handles while a two-entry cache evicts and refills
+/// around them; a handle keeps its answer alive past eviction, and every
+/// body must equal the serial render. TSan checks that the sharing is
+/// race-free.
+TEST(EngineConcurrencyTest, HitsShareOneAnswerAcrossThreads) {
+  TemporalGraph graph = BuildRandomGraph(202, 40, 6);
+  std::vector<AttrRef> base = ResolveAttributes(graph, {"color", "level"});
+  const std::vector<QuerySpec> corpus = StressCorpus(graph, base);
+
+  QueryEngine shared(&graph);
+  const engine::QueryResult first = shared.ExecuteResult(corpus[3]);
+  EXPECT_EQ(&shared.ExecuteResult(corpus[3]).aggregate(), &first.aggregate())
+      << "a cache hit must share the cached answer, not copy it";
+
+  QueryEngine::Config config;
+  config.cache_capacity = 2;
+  QueryEngine engine(&graph, config);
+  std::vector<engine::QueryPlan> plans;
+  std::vector<std::string> expected;
+  for (const QuerySpec& spec : corpus) {
+    plans.push_back(engine.Plan(spec));
+    expected.push_back(engine::wire::ResultToJson(graph, spec, plans.back(),
+                                                  DirectReference(graph, spec), 0));
+  }
+
+  constexpr std::size_t kReaders = 6;
+  constexpr std::size_t kIterations = 30;
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      for (std::size_t i = 0; i < kIterations; ++i) {
+        // Half the requests go to one hot spec, so hits on it overlap.
+        const std::size_t pick = i % 2 == 0 ? 3 : (r + i) % corpus.size();
+        const engine::QueryResult result = engine.ExecuteResult(corpus[pick]);
+        const std::string body =
+            engine::wire::QueryResultToJson(graph, corpus[pick], plans[pick], result, 0);
+        if (body != expected[pick]) mismatches.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GT(engine.cache_stats().hits, 0u);
+  EXPECT_GT(engine.cache_stats().evictions, 0u);
 }
 
 /// Readers keep executing while a writer mutates presence at *existing* time

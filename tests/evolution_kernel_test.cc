@@ -146,9 +146,7 @@ std::string EvolutionJson(const TemporalGraph& graph, const IntervalSet& t_old,
   spec.t1 = t_old;
   spec.t2 = t_new;
   spec.attrs = attrs;
-  engine::QueryResult result;
-  result.kind = engine::QueryKind::kEvolution;
-  result.evolution = evolution;
+  const engine::QueryResult result(evolution);
   return engine::wire::QueryResultToJson(graph, spec, engine::QueryPlan{}, result, 0);
 }
 

@@ -2,24 +2,38 @@
 #define GRAPHTEMPO_TESTS_REFERENCE_IMPL_H_
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
 #include <map>
 #include <optional>
 #include <set>
 #include <span>
+#include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/aggregation.h"
 #include "core/evolution.h"
+#include "core/exploration.h"
 #include "core/operators.h"
 #include "core/temporal_graph.h"
+#include "engine/plan.h"
+#include "engine/query_spec.h"
+#include "util/json.h"
 
 /// \file
 /// Literal, definition-by-definition reference implementations of the
 /// paper's operators and aggregation, written for obviousness rather than
 /// speed: τ as std::set<TimeId>, set algebra spelled out, no bit tricks, no
 /// fast paths. The differential test suites (`reference_test.cc`,
-/// `evolution_kernel_test.cc`) check the optimized library against these on
-/// randomized graphs.
+/// `evolution_kernel_test.cc`, `wire_test.cc`) check the optimized library
+/// against these on randomized graphs.
+///
+/// The last section holds the reference response renderers: the query
+/// service's JSON bodies built as a `json::Value` tree from rows copied out
+/// of the result maps and sorted, then serialized — the wire format by
+/// definition, against which the library's direct writers are pinned.
 
 namespace graphtempo::testing {
 
@@ -297,6 +311,224 @@ inline EvolutionAggregate AggregateEvolutionComponents(const TemporalGraph& grap
     }
   }
   return result;
+}
+
+// --- Reference response renderers (engine/wire.h formats) --------------------
+
+/// Tuple codes ascending; a shorter tuple orders before its extensions.
+inline int RefCompareTuples(const AttrTuple& a, const AttrTuple& b) {
+  for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
+    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
+  }
+  if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
+  return 0;
+}
+
+/// One attribute tuple as an array of labels, `null` for kNoValue.
+inline json::Value RefTupleToJson(const TemporalGraph& graph,
+                                  std::span<const AttrRef> attrs, const AttrTuple& tuple) {
+  json::Value array = json::Value::Array();
+  for (std::size_t i = 0; i < tuple.size(); ++i) {
+    if (tuple[i] == kNoValue) {
+      array.Append(json::Value::Null());
+    } else {
+      array.Append(json::Value::String(graph.ValueName(attrs[i], tuple[i])));
+    }
+  }
+  return array;
+}
+
+inline std::string RefFingerprintHex(std::uint64_t fingerprint) {
+  char buffer[24];
+  std::snprintf(buffer, sizeof(buffer), "0x%016" PRIx64, fingerprint);
+  return buffer;
+}
+
+inline std::string RefIntervalLabel(const TemporalGraph& graph,
+                                    const IntervalSet& interval) {
+  if (interval.Empty()) return "{}";
+  TimeId first = interval.First();
+  TimeId last = interval.Last();
+  if (first == last) return graph.time_label(first);
+  return graph.time_label(first) + ".." + graph.time_label(last);
+}
+
+/// Copies `map`'s rows and sorts them by `weight_of` descending, then tuple
+/// codes ascending.
+template <typename Map, typename WeightOf>
+std::vector<std::pair<typename Map::key_type, typename Map::mapped_type>> RefSortedRows(
+    const Map& map, WeightOf weight_of) {
+  std::vector<std::pair<typename Map::key_type, typename Map::mapped_type>> rows(
+      map.begin(), map.end());
+  std::sort(rows.begin(), rows.end(), [&](const auto& a, const auto& b) {
+    if (weight_of(a.second) != weight_of(b.second)) {
+      return weight_of(a.second) > weight_of(b.second);
+    }
+    if constexpr (std::is_same_v<typename Map::key_type, AttrTuple>) {
+      return RefCompareTuples(a.first, b.first) < 0;
+    } else {
+      int src = RefCompareTuples(a.first.src, b.first.src);
+      if (src != 0) return src < 0;
+      return RefCompareTuples(a.first.dst, b.first.dst) < 0;
+    }
+  });
+  return rows;
+}
+
+inline std::size_t RefRowLimit(std::size_t top, std::size_t rows) {
+  return top == 0 ? rows : std::min(top, rows);
+}
+
+/// Reference for `wire::ResultToJson`.
+inline std::string RefResultToJson(const TemporalGraph& graph, const engine::QuerySpec& spec,
+                                   const engine::QueryPlan& plan,
+                                   const AggregateGraph& result, std::size_t top) {
+  auto weight = [](Weight w) { return w; };
+  const auto nodes = RefSortedRows(result.nodes(), weight);
+  const auto edges = RefSortedRows(result.edges(), weight);
+
+  json::Value response = json::Value::Object();
+  response.Set("fingerprint", json::Value::String(RefFingerprintHex(plan.fingerprint)));
+  response.Set("route", json::Value::String(engine::PlanRouteName(plan.route)));
+  response.Set("interval",
+               json::Value::String(RefIntervalLabel(graph, spec.EvaluationInterval())));
+  response.Set("semantics",
+               json::Value::String(
+                   spec.semantics == AggregationSemantics::kDistinct ? "DIST" : "ALL"));
+  response.Set("node_count", json::Value::Number(static_cast<std::uint64_t>(nodes.size())));
+  response.Set("edge_count", json::Value::Number(static_cast<std::uint64_t>(edges.size())));
+
+  json::Value node_rows = json::Value::Array();
+  for (std::size_t i = 0; i < RefRowLimit(top, nodes.size()); ++i) {
+    json::Value row = json::Value::Object();
+    row.Set("tuple", RefTupleToJson(graph, spec.attrs, nodes[i].first));
+    row.Set("weight", json::Value::Number(static_cast<std::int64_t>(nodes[i].second)));
+    node_rows.Append(std::move(row));
+  }
+  response.Set("nodes", std::move(node_rows));
+
+  json::Value edge_rows = json::Value::Array();
+  for (std::size_t i = 0; i < RefRowLimit(top, edges.size()); ++i) {
+    json::Value row = json::Value::Object();
+    row.Set("src", RefTupleToJson(graph, spec.attrs, edges[i].first.src));
+    row.Set("dst", RefTupleToJson(graph, spec.attrs, edges[i].first.dst));
+    row.Set("weight", json::Value::Number(static_cast<std::int64_t>(edges[i].second)));
+    edge_rows.Append(std::move(row));
+  }
+  response.Set("edges", std::move(edge_rows));
+  return response.Serialize();
+}
+
+/// Reference for `wire::EvolutionToJson`.
+inline std::string RefEvolutionToJson(const TemporalGraph& graph,
+                                      const engine::QuerySpec& spec,
+                                      const engine::QueryPlan& plan,
+                                      const EvolutionAggregate& result, std::size_t top) {
+  auto total = [](const EvolutionWeights& w) { return w.stability + w.growth + w.shrinkage; };
+  const auto nodes = RefSortedRows(result.nodes(), total);
+  const auto edges = RefSortedRows(result.edges(), total);
+
+  json::Value response = json::Value::Object();
+  response.Set("kind", json::Value::String("evolution"));
+  response.Set("fingerprint", json::Value::String(RefFingerprintHex(plan.fingerprint)));
+  response.Set("route", json::Value::String(engine::PlanRouteName(plan.route)));
+  response.Set("old", json::Value::String(RefIntervalLabel(graph, spec.t1)));
+  response.Set("new", json::Value::String(RefIntervalLabel(graph, spec.t2)));
+  response.Set("node_count", json::Value::Number(static_cast<std::uint64_t>(nodes.size())));
+  response.Set("edge_count", json::Value::Number(static_cast<std::uint64_t>(edges.size())));
+
+  auto weights_fields = [](json::Value* row, const EvolutionWeights& w) {
+    row->Set("stability", json::Value::Number(static_cast<std::int64_t>(w.stability)));
+    row->Set("growth", json::Value::Number(static_cast<std::int64_t>(w.growth)));
+    row->Set("shrinkage", json::Value::Number(static_cast<std::int64_t>(w.shrinkage)));
+  };
+
+  json::Value node_rows = json::Value::Array();
+  for (std::size_t i = 0; i < RefRowLimit(top, nodes.size()); ++i) {
+    json::Value row = json::Value::Object();
+    row.Set("tuple", RefTupleToJson(graph, spec.attrs, nodes[i].first));
+    weights_fields(&row, nodes[i].second);
+    node_rows.Append(std::move(row));
+  }
+  response.Set("nodes", std::move(node_rows));
+
+  json::Value edge_rows = json::Value::Array();
+  for (std::size_t i = 0; i < RefRowLimit(top, edges.size()); ++i) {
+    json::Value row = json::Value::Object();
+    row.Set("src", RefTupleToJson(graph, spec.attrs, edges[i].first.src));
+    row.Set("dst", RefTupleToJson(graph, spec.attrs, edges[i].first.dst));
+    weights_fields(&row, edges[i].second);
+    edge_rows.Append(std::move(row));
+  }
+  response.Set("edges", std::move(edge_rows));
+  return response.Serialize();
+}
+
+/// Reference for `wire::ExplorationToJson`.
+inline std::string RefExplorationToJson(const TemporalGraph& graph,
+                                        const engine::QuerySpec& spec,
+                                        const engine::QueryPlan& plan,
+                                        const ExplorationResult& result, std::size_t top) {
+  json::Value response = json::Value::Object();
+  response.Set("kind", json::Value::String("explore"));
+  response.Set("fingerprint", json::Value::String(RefFingerprintHex(plan.fingerprint)));
+  response.Set("route", json::Value::String(engine::PlanRouteName(plan.route)));
+  response.Set("event", json::Value::String(EventTypeName(spec.explore.event)));
+  response.Set("extension",
+               json::Value::String(spec.explore.semantics == ExtensionSemantics::kUnion
+                                       ? "union"
+                                       : "intersection"));
+  response.Set("reference",
+               json::Value::String(spec.explore.reference == ReferenceEnd::kOld
+                                       ? "old"
+                                       : "new"));
+  response.Set("k", json::Value::Number(static_cast<std::uint64_t>(spec.explore.k)));
+  response.Set("pair_count",
+               json::Value::Number(static_cast<std::uint64_t>(result.pairs.size())));
+  response.Set("evaluations",
+               json::Value::Number(static_cast<std::uint64_t>(result.evaluations)));
+
+  auto range_label = [&](TimeRange range) {
+    if (range.first == range.last) return graph.time_label(range.first);
+    return graph.time_label(range.first) + ".." + graph.time_label(range.last);
+  };
+  json::Value pair_rows = json::Value::Array();
+  for (std::size_t i = 0; i < RefRowLimit(top, result.pairs.size()); ++i) {
+    const IntervalPair& pair = result.pairs[i];
+    json::Value row = json::Value::Object();
+    row.Set("old", json::Value::String(range_label(pair.old_range)));
+    row.Set("new", json::Value::String(range_label(pair.new_range)));
+    row.Set("count", json::Value::Number(static_cast<std::int64_t>(pair.count)));
+    pair_rows.Append(std::move(row));
+  }
+  response.Set("pairs", std::move(pair_rows));
+  return response.Serialize();
+}
+
+/// Reference for `wire::PlanToJson`.
+inline std::string RefPlanToJson(const engine::QueryPlan& plan) {
+  json::Value response = json::Value::Object();
+  response.Set("fingerprint", json::Value::String(RefFingerprintHex(plan.fingerprint)));
+  response.Set("route", json::Value::String(engine::PlanRouteName(plan.route)));
+  response.Set("cacheable", json::Value::Bool(plan.cacheable));
+  response.Set("stale_fallback", json::Value::Bool(plan.stale_fallback));
+  response.Set("planner", json::Value::String(engine::PlannerModeName(plan.planner)));
+  response.Set("cost_direct_us", json::Value::Number(plan.cost.direct_us));
+  if (plan.cost.materialized_us >= 0.0) {
+    response.Set("cost_materialized_us", json::Value::Number(plan.cost.materialized_us));
+  } else {
+    response.Set("cost_materialized_us", json::Value::Null());
+  }
+  json::Value steps = json::Value::Array();
+  for (const engine::PlanStep& step : plan.steps) {
+    json::Value row = json::Value::Object();
+    row.Set("kind", json::Value::String(step.kind));
+    row.Set("detail", json::Value::String(step.detail));
+    steps.Append(std::move(row));
+  }
+  response.Set("steps", std::move(steps));
+  response.Set("explain", json::Value::String(plan.Explain()));
+  return response.Serialize();
 }
 
 }  // namespace graphtempo::testing

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -12,6 +15,7 @@
 #include <vector>
 
 #include "accel/backend.h"
+#include "datagen/random.h"
 #include "engine/wire.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -578,6 +582,48 @@ TEST(IngestParseTest, ParseIngestLineStripsCarriageReturn) {
   ASSERT_TRUE(record.has_value()) << error;
   EXPECT_EQ(record->kind, IngestRecord::Kind::kNodePresent);
   EXPECT_EQ(record->time, "t9");
+}
+
+TEST(HttpWriteTest, MultiMegabyteResponseArrivesByteForByte) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  // A small non-blocking send buffer makes the writer resume after many
+  // partial writes; a head larger than that buffer makes the first one end
+  // inside the head, later ones inside the body.
+  const int send_buffer = 4096;
+  ASSERT_EQ(::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &send_buffer, sizeof(send_buffer)),
+            0);
+  ASSERT_EQ(::fcntl(fds[0], F_SETFL, ::fcntl(fds[0], F_GETFL) | O_NONBLOCK), 0);
+
+  HttpResponse response;
+  response.body.resize(std::size_t{5} << 20);
+  datagen::Pcg32 rng(17);
+  for (char& c : response.body) c = static_cast<char>(rng.Next());
+  response.headers.emplace_back("X-Padding", std::string(300000, 'p'));
+  const std::string expected = "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                               "Content-Length: " +
+                               std::to_string(response.body.size()) +
+                               "\r\nX-Padding: " + std::string(300000, 'p') +
+                               "\r\nConnection: close\r\n\r\n" + response.body;
+
+  bool written = false;
+  std::thread writer([&] {
+    written = WriteHttpResponse(fds[0], response);
+    ::close(fds[0]);
+  });
+  std::string received;
+  char chunk[1000];
+  for (;;) {
+    const ssize_t got = ::recv(fds[1], chunk, sizeof(chunk), 0);
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) break;
+    received.append(chunk, static_cast<std::size_t>(got));
+  }
+  writer.join();
+  ::close(fds[1]);
+  EXPECT_TRUE(written);
+  EXPECT_EQ(received.size(), expected.size());
+  EXPECT_TRUE(received == expected) << "bytes differ";  // no 5 MB diff dump
 }
 
 TEST_F(ServerTest, OverCapacityQueryRidesOpenGatherWindow) {

@@ -708,7 +708,7 @@ int CmdEvolution(const Options& options, std::ostream& out, std::ostream& err) {
     return 0;
   }
 
-  EvolutionAggregate evolution = engine.ExecuteResult(spec).evolution;
+  EvolutionAggregate evolution = engine.ExecuteResult(spec).evolution();
   out << "evolution " << IntervalLabel(*graph, *old_side) << " -> "
       << IntervalLabel(*graph, *new_side) << "\n";
 
@@ -1058,7 +1058,7 @@ int CmdExplore(const Options& options, std::ostream& out, std::ostream& err) {
     query.explore = spec;
     query.t1 = IntervalSet::All(graph->num_times());
     query.attrs = spec.selector.attrs;
-    result = engine.ExecuteResult(query).exploration;
+    result = engine.ExecuteResult(query).exploration();
   } else if (strategy == "naive") {
     result = ExploreNaive(*graph, spec);
   } else if (strategy == "both-ends") {
