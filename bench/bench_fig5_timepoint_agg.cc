@@ -98,8 +98,9 @@ void RunThreadScaling(const gt::TemporalGraph& graph, const std::string& name,
 /// dense-vs-hash grouping ablation for its aggregation side, single-threaded.
 /// `kernel` is the speedup of the column-major Project kernel over the
 /// row-scan reference summed across all per-point snapshots; `dense_speedup`
-/// is the speedup of kAuto grouping (dense where the packed domain fits) over
-/// the forced hash-map reference on the full-union view (docs/KERNELS.md).
+/// is the speedup of kAuto grouping (flat tables where the packed domain
+/// fits) over forced hash tables on the group codes, on the full-union view
+/// (docs/KERNELS.md).
 void RunKernelAblation(const gt::TemporalGraph& graph, const std::string& name,
                        const std::vector<std::string>& attr_names) {
   const std::size_t n = graph.num_times();

@@ -129,7 +129,7 @@ void BM_DifferenceOpDblp(benchmark::State& state) {
 }
 BENCHMARK(BM_DifferenceOpDblp);
 
-// --- Aggregation fast-path ablation ---------------------------------------------------
+// --- Aggregation: static and time-varying attribute sets -----------------------------
 
 void BM_AggregateStaticFastPath(benchmark::State& state) {
   const gt::TemporalGraph& graph = gt::bench::DblpGraph();
@@ -144,21 +144,6 @@ void BM_AggregateStaticFastPath(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AggregateStaticFastPath);
-
-void BM_AggregateGeneralPath(benchmark::State& state) {
-  const gt::TemporalGraph& graph = gt::bench::DblpGraph();
-  const std::size_t n = graph.num_times();
-  gt::GraphView view = gt::UnionOp(graph, gt::IntervalSet::Range(n, 0, 9),
-                                   gt::IntervalSet::Range(n, 10, 20));
-  std::vector<gt::AttrRef> attrs = gt::ResolveAttributes(graph, {"gender"});
-  gt::AggregationOptions options;
-  options.semantics = gt::AggregationSemantics::kAll;
-  for (auto _ : state) {
-    gt::AggregateGraph agg = gt::AggregateGeneralPath(graph, view, attrs, options);
-    benchmark::DoNotOptimize(agg.NodeCount());
-  }
-}
-BENCHMARK(BM_AggregateGeneralPath);
 
 void BM_AggregateTimeVarying(benchmark::State& state) {
   const gt::TemporalGraph& graph = gt::bench::DblpGraph();

@@ -1,8 +1,11 @@
 #include "core/aggregation.h"
 
 #include <algorithm>
-#include <chrono>
+#include <bit>
+#include <cstdint>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "accel/backend.h"
 #include "core/grouping_internal.h"
@@ -15,21 +18,8 @@ namespace graphtempo {
 
 namespace {
 
-using internal_grouping::DensePacker;
-
-/// Entities per chunk for the parallel Algorithm 2 paths. Each entity costs
-/// an attribute lookup (or several) plus hash-map updates, so chunks earn
-/// their dispatch overhead much earlier than the raw presence scans of the
-/// operators (whose default is 2048).
-constexpr std::size_t kAggMinPerChunk = 512;
-
-/// Adds every node/edge weight of `src` into `dst`.
-void MergeInto(AggregateGraph* dst, const AggregateGraph& src) {
-  for (const auto& [tuple, weight] : src.nodes()) dst->AddNodeWeight(tuple, weight);
-  for (const auto& [pair, weight] : src.edges()) {
-    dst->AddEdgeWeight(pair.src, pair.dst, weight);
-  }
-}
+using internal_grouping::GroupWeights;
+using internal_grouping::NodeCodes;
 
 bool AllStatic(std::span<const AttrRef> attrs) {
   return std::all_of(attrs.begin(), attrs.end(), [](const AttrRef& ref) {
@@ -37,313 +27,149 @@ bool AllStatic(std::span<const AttrRef> attrs) {
   });
 }
 
-/// Static attributes do not depend on time; evaluate once per node.
-AttrTuple StaticTuple(const TemporalGraph& graph, std::span<const AttrRef> attrs,
-                      NodeId n) {
-  AttrTuple tuple;
-  for (const AttrRef& ref : attrs) {
-    tuple.Append(graph.static_attribute(ref.index).CodeAt(n));
-  }
-  return tuple;
-}
-
-/// Small per-entity "seen tuples" set. Entities carry very few distinct
-/// tuples across an interval (bounded by interval length), so linear probing
-/// over a stack vector beats a hash set.
-class SeenTuples {
- public:
-  void Clear() { tuples_.clear(); }
-
-  /// Returns true if `tuple` was not seen before (and records it).
-  bool Insert(const AttrTuple& tuple) {
-    if (std::find(tuples_.begin(), tuples_.end(), tuple) != tuples_.end()) return false;
-    tuples_.push_back(tuple);
-    return true;
-  }
-
- private:
-  std::vector<AttrTuple> tuples_;
-};
-
-class SeenTuplePairs {
- public:
-  void Clear() { pairs_.clear(); }
-
-  bool Insert(const AttrTuplePair& pair) {
-    if (std::find(pairs_.begin(), pairs_.end(), pair) != pairs_.end()) return false;
-    pairs_.push_back(pair);
-    return true;
-  }
-
- private:
-  std::vector<AttrTuplePair> pairs_;
-};
-
-// --- chunk bodies (sink-templated) ---------------------------------------------
-//
-// The per-entity logic of Algorithm 2, written once and instantiated against
-// two sinks: the hash-map sink (AggregateGraph partials) and the dense flat
-// array sink below. `add_node(tuple, w)` / `add_edge(src, dst, w)` are the
-// only output operations, so both grouping strategies share the exact same
-// appearance walk and therefore count the exact same things.
-
-/// General path of Algorithm 2 over a node chunk: unpivot each node over its
-/// appearance times, deduplicate per entity for DIST. Entities are
-/// independent — SeenTuples never crosses entity boundaries — so chunking
-/// over the node range is safe.
-template <typename AddNode>
-void GeneralNodeChunk(const TemporalGraph& graph, const GraphView& view,
-                      std::span<const AttrRef> attrs, const AggregationOptions& options,
-                      std::size_t begin, std::size_t end, const AddNode& add_node) {
-  const bool distinct = options.semantics == AggregationSemantics::kDistinct;
-  const NodeTimeFilter* filter = options.filter;
-  SeenTuples seen;  // chunk-local scratch, reused across the entity range
-  for (std::size_t i = begin; i < end; ++i) {
-    NodeId n = view.nodes[i];
-    seen.Clear();
-    graph.node_presence().ForEachSetBitMasked(
-        n, view.times.bits(), [&](std::size_t t_raw) {
-          TimeId t = static_cast<TimeId>(t_raw);
-          if (filter != nullptr && !(*filter)(n, t)) return;
-          AttrTuple tuple = TupleAt(graph, attrs, n, t);
+/// Scans one side of Algorithm 2 (the view's nodes or its edges) on the
+/// pool, one private GroupWeights per chunk keyed by group code. With
+/// `static_codes` (Section 4.2: static attributes, no filter),
+/// `code_of(entity)` is the entity's one code and it weighs 1 under DIST and
+/// the popcount of its presence row under the view interval under ALL.
+/// Otherwise one walk over the row under the interval reads
+/// `code_at(entity, t)` per appearance (nullopt: hidden by the filter); ALL
+/// counts every appearance, DIST each distinct code of the entity once,
+/// deduplicated in reused chunk scratch. Entities are independent, so
+/// chunking over the entity list is safe.
+template <typename Entity, typename CodeOf, typename CodeAt>
+std::vector<GroupWeights<Weight>> ScanSide(const char* span_name,
+                                           std::span<const Entity> entities,
+                                           const BitMatrix& presence,
+                                           const IntervalSet& interval, bool distinct,
+                                           bool static_codes, bool dense,
+                                           std::uint64_t codes, const CodeOf& code_of,
+                                           const CodeAt& code_at) {
+  GT_SPAN(span_name, {{"rows", entities.size()}, {"dense", dense ? 1u : 0u}});
+  const std::uint64_t* mask = interval.bits().word_data();
+  const std::size_t words = presence.words_per_row();
+  auto scan_chunk = [&](std::size_t begin, std::size_t end, const auto& cell) {
+    if (static_codes && distinct) {
+      // Apart from the ALL loop: without the kernel call inside it, the code
+      // lookups' loads stay hoisted out of the loop.
+      for (std::size_t i = begin; i < end; ++i) ++cell(code_of(entities[i]));
+      return;
+    }
+    if (static_codes) {
+      // The interval mask is chunk-invariant: hoist the backend dispatch and
+      // call the masked popcount kernel directly per row.
+      const accel::KernelBackend& backend = accel::ActiveBackend();
+      for (std::size_t i = begin; i < end; ++i) {
+        const Weight weight = static_cast<Weight>(
+            backend.masked_popcount(presence.row_words(entities[i]), mask, words));
+        if (weight > 0) cell(code_of(entities[i])) += weight;
+      }
+      return;
+    }
+    std::vector<std::uint64_t> seen;
+    for (std::size_t i = begin; i < end; ++i) {
+      const Entity entity = entities[i];
+      const std::uint64_t* row = presence.row_words(entity);
+      seen.clear();
+      for (std::size_t w = 0; w < words; ++w) {
+        for (std::uint64_t bits = row[w] & mask[w]; bits != 0; bits &= bits - 1) {
+          const std::optional<std::uint64_t> code =
+              code_at(entity, static_cast<TimeId>(w * 64 + std::countr_zero(bits)));
+          if (!code.has_value()) continue;
           if (distinct) {
-            if (seen.Insert(tuple)) add_node(tuple, Weight{1});
-          } else {
-            add_node(tuple, Weight{1});
+            if (std::find(seen.begin(), seen.end(), *code) != seen.end()) continue;
+            seen.push_back(*code);
           }
-        });
-  }
-}
-
-template <typename AddEdge>
-void GeneralEdgeChunk(const TemporalGraph& graph, const GraphView& view,
-                      std::span<const AttrRef> attrs, const AggregationOptions& options,
-                      std::size_t begin, std::size_t end, const AddEdge& add_edge) {
-  const bool distinct = options.semantics == AggregationSemantics::kDistinct;
-  const NodeTimeFilter* filter = options.filter;
-  SeenTuplePairs seen_pairs;
-  for (std::size_t i = begin; i < end; ++i) {
-    EdgeId e = view.edges[i];
-    seen_pairs.Clear();
-    auto [src, dst] = graph.edge(e);
-    graph.edge_presence().ForEachSetBitMasked(
-        e, view.times.bits(), [&](std::size_t t_raw) {
-          TimeId t = static_cast<TimeId>(t_raw);
-          if (filter != nullptr && (!(*filter)(src, t) || !(*filter)(dst, t))) return;
-          AttrTuplePair pair{TupleAt(graph, attrs, src, t),
-                             TupleAt(graph, attrs, dst, t)};
-          if (distinct) {
-            if (seen_pairs.Insert(pair)) add_edge(pair.src, pair.dst, Weight{1});
-          } else {
-            add_edge(pair.src, pair.dst, Weight{1});
-          }
-        });
-  }
-}
-
-/// Section 4.2 fast path over a node chunk: all aggregation attributes static
-/// and no filter. DIST never looks at time at all; ALL weights each entity by
-/// the popcount of its presence row under the view interval.
-template <typename AddNode>
-void StaticNodeChunk(const TemporalGraph& graph, const GraphView& view,
-                     std::span<const AttrRef> attrs, AggregationSemantics semantics,
-                     std::size_t begin, std::size_t end, const AddNode& add_node) {
-  const bool distinct = semantics == AggregationSemantics::kDistinct;
-  // The interval mask is chunk-invariant: hoist the backend dispatch and the
-  // mask words out of the row loop and call the masked popcount-aggregate
-  // kernel directly per row.
-  const accel::KernelBackend& backend = accel::ActiveBackend();
-  const BitMatrix& presence = graph.node_presence();
-  const std::uint64_t* mask = view.times.bits().words().data();
-  const std::size_t mask_words = presence.words_per_row();
-  for (std::size_t i = begin; i < end; ++i) {
-    NodeId n = view.nodes[i];
-    AttrTuple tuple = StaticTuple(graph, attrs, n);
-    Weight weight = distinct ? 1
-                             : static_cast<Weight>(backend.masked_popcount(
-                                   presence.row_words(n), mask, mask_words));
-    if (weight > 0) add_node(tuple, weight);
-  }
-}
-
-template <typename AddEdge>
-void StaticEdgeChunk(const TemporalGraph& graph, const GraphView& view,
-                     std::span<const AttrRef> attrs, AggregationSemantics semantics,
-                     std::size_t begin, std::size_t end, const AddEdge& add_edge) {
-  const bool distinct = semantics == AggregationSemantics::kDistinct;
-  const accel::KernelBackend& backend = accel::ActiveBackend();
-  const BitMatrix& presence = graph.edge_presence();
-  const std::uint64_t* mask = view.times.bits().words().data();
-  const std::size_t mask_words = presence.words_per_row();
-  for (std::size_t i = begin; i < end; ++i) {
-    EdgeId e = view.edges[i];
-    auto [src, dst] = graph.edge(e);
-    AttrTuple src_tuple = StaticTuple(graph, attrs, src);
-    AttrTuple dst_tuple = StaticTuple(graph, attrs, dst);
-    Weight weight = distinct ? 1
-                             : static_cast<Weight>(backend.masked_popcount(
-                                   presence.row_words(e), mask, mask_words));
-    if (weight > 0) add_edge(src_tuple, dst_tuple, weight);
-  }
-}
-
-// --- driver ---------------------------------------------------------------------
-
-/// Runs Algorithm 2 with independently chosen node/edge grouping strategies.
-///
-/// Both strategies chunk the entity ranges onto the shared pool with private
-/// per-chunk accumulators and merge in ascending chunk order:
-///
-///   * hash  — per-chunk AggregateGraph partials, chunk-ordered MergeInto
-///     (fixes the map insertion order, so bit-identical at any thread count);
-///   * dense — per-chunk flat Weight arrays indexed by packed tuple,
-///     elementwise sum, then emission in ascending packed order (a canonical
-///     order independent of both thread count and chunking).
-///
-/// Per-stage counters (rows scanned, chunks, merge time, dense/hash group
-/// sizes) feed `GetExecCounters`.
-AggregateGraph AggregateImpl(const TemporalGraph& graph, const GraphView& view,
-                             std::span<const AttrRef> attrs,
-                             const AggregationOptions& options,
-                             bool allow_static_path) {
-  GT_SPAN("agg/aggregate", {{"nodes", view.nodes.size()},
-                            {"edges", view.edges.size()}});
-  const bool static_path =
-      allow_static_path && options.filter == nullptr && AllStatic(attrs);
-
-  std::optional<DensePacker> packer;
-  if (options.grouping != GroupingStrategy::kHash) {
-    packer = DensePacker::Create(graph, attrs, kDenseNodeCellsMax);
-  }
-  const bool dense_nodes = packer.has_value();
-  const bool dense_edges =
-      dense_nodes && packer->cells() * packer->cells() <= kDenseEdgePairsMax;
-  if (options.grouping == GroupingStrategy::kDense) {
-    GT_CHECK(dense_nodes && dense_edges)
-        << "attribute domain too large for forced dense grouping";
-  }
-
-  auto node_chunk = [&](std::size_t begin, std::size_t end, const auto& add_node) {
-    if (static_path) {
-      StaticNodeChunk(graph, view, attrs, options.semantics, begin, end, add_node);
-    } else {
-      GeneralNodeChunk(graph, view, attrs, options, begin, end, add_node);
-    }
-  };
-  auto edge_chunk = [&](std::size_t begin, std::size_t end, const auto& add_edge) {
-    if (static_path) {
-      StaticEdgeChunk(graph, view, attrs, options.semantics, begin, end, add_edge);
-    } else {
-      GeneralEdgeChunk(graph, view, attrs, options, begin, end, add_edge);
-    }
-  };
-
-  ParallelPartition node_partition(view.nodes.size(), kAggMinPerChunk,
-                                   /*alignment=*/1);
-  ParallelPartition edge_partition(view.edges.size(), kAggMinPerChunk,
-                                   /*alignment=*/1);
-
-  AggregateGraph result;
-  std::uint64_t merge_nanos = 0;
-
-  if (dense_nodes) {
-    const std::size_t cells = packer->cells();
-    std::vector<std::vector<Weight>> parts(node_partition.num_chunks());
-    {
-      GT_SPAN("agg/nodes_scan", {{"rows", view.nodes.size()}, {"dense", 1}});
-      node_partition.Run([&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        std::vector<Weight>& table = parts[chunk];
-        table.assign(cells, 0);
-        node_chunk(begin, end, [&](const AttrTuple& tuple, Weight w) {
-          table[packer->Pack(tuple)] += w;
-        });
-      });
-    }
-    GT_SPAN("agg/nodes_merge", {{"chunks", parts.size()}, {"dense", 1}});
-    Stopwatch merge_watch;
-    merge_watch.Start();
-    std::vector<Weight>& total = parts.front();
-    for (std::size_t c = 1; c < parts.size(); ++c) {
-      for (std::size_t i = 0; i < cells; ++i) total[i] += parts[c][i];
-    }
-    for (std::size_t i = 0; i < cells; ++i) {
-      if (total[i] != 0) result.AddNodeWeight(packer->Unpack(i), total[i]);
-    }
-    merge_nanos += static_cast<std::uint64_t>(merge_watch.ElapsedMicros()) * 1000u;
-    internal_counters::AddGroupingPath(/*dense=*/1, /*hash=*/0);
-  } else {
-    std::vector<AggregateGraph> parts(node_partition.num_chunks());
-    {
-      GT_SPAN("agg/nodes_scan", {{"rows", view.nodes.size()}, {"dense", 0}});
-      node_partition.Run([&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        AggregateGraph& out = parts[chunk];
-        node_chunk(begin, end, [&](const AttrTuple& tuple, Weight w) {
-          out.AddNodeWeight(tuple, w);
-        });
-      });
-    }
-    GT_SPAN("agg/nodes_merge", {{"chunks", parts.size()}, {"dense", 0}});
-    Stopwatch merge_watch;
-    merge_watch.Start();
-    result = std::move(parts.front());
-    for (std::size_t c = 1; c < parts.size(); ++c) MergeInto(&result, parts[c]);
-    merge_nanos += static_cast<std::uint64_t>(merge_watch.ElapsedMicros()) * 1000u;
-    internal_counters::AddGroupingPath(/*dense=*/0, /*hash=*/1);
-  }
-
-  if (dense_edges) {
-    const std::size_t cells = packer->cells();
-    const std::size_t pairs = cells * cells;
-    std::vector<std::vector<Weight>> parts(edge_partition.num_chunks());
-    {
-      GT_SPAN("agg/edges_scan", {{"rows", view.edges.size()}, {"dense", 1}});
-      edge_partition.Run([&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        std::vector<Weight>& table = parts[chunk];
-        table.assign(pairs, 0);
-        edge_chunk(begin, end,
-                   [&](const AttrTuple& src, const AttrTuple& dst, Weight w) {
-                     table[packer->Pack(src) * cells + packer->Pack(dst)] += w;
-                   });
-      });
-    }
-    GT_SPAN("agg/edges_merge", {{"chunks", parts.size()}, {"dense", 1}});
-    Stopwatch merge_watch;
-    merge_watch.Start();
-    std::vector<Weight>& total = parts.front();
-    for (std::size_t c = 1; c < parts.size(); ++c) {
-      for (std::size_t i = 0; i < pairs; ++i) total[i] += parts[c][i];
-    }
-    for (std::size_t i = 0; i < pairs; ++i) {
-      if (total[i] != 0) {
-        result.AddEdgeWeight(packer->Unpack(i / cells), packer->Unpack(i % cells),
-                             total[i]);
+          ++cell(*code);
+        }
       }
     }
-    merge_nanos += static_cast<std::uint64_t>(merge_watch.ElapsedMicros()) * 1000u;
-    internal_counters::AddGroupingPath(/*dense=*/1, /*hash=*/0);
-  } else {
-    std::vector<AggregateGraph> parts(edge_partition.num_chunks());
-    {
-      GT_SPAN("agg/edges_scan", {{"rows", view.edges.size()}, {"dense", 0}});
-      edge_partition.Run([&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        AggregateGraph& out = parts[chunk];
-        edge_chunk(begin, end,
-                   [&](const AttrTuple& src, const AttrTuple& dst, Weight w) {
-                     out.AddEdgeWeight(src, dst, w);
-                   });
-      });
-    }
-    GT_SPAN("agg/edges_merge", {{"chunks", parts.size()}, {"dense", 0}});
-    Stopwatch merge_watch;
-    merge_watch.Start();
-    for (const AggregateGraph& part : parts) MergeInto(&result, part);
-    merge_nanos += static_cast<std::uint64_t>(merge_watch.ElapsedMicros()) * 1000u;
-    internal_counters::AddGroupingPath(/*dense=*/0, /*hash=*/1);
-  }
+  };
+  return internal_grouping::ScanChunks<Weight>(
+      ParallelPartition(entities.size(), internal_grouping::kGroupMinPerChunk,
+                        /*alignment=*/1),
+      dense, codes, scan_chunk);
+}
 
-  internal_counters::AddAggregation(
-      view.nodes.size() + view.edges.size(),
-      node_partition.num_chunks() + edge_partition.num_chunks(), merge_nanos);
+/// Merges one side's chunk tables in ascending chunk order and calls
+/// `emit(code, weight)` for every group (ascending by code when dense).
+/// Returns the merge time in nanoseconds.
+template <typename Emit>
+std::uint64_t MergeSide(const char* span_name, std::vector<GroupWeights<Weight>>& parts,
+                        bool dense, const Emit& emit) {
+  GT_SPAN(span_name, {{"chunks", parts.size()}, {"dense", dense ? 1u : 0u}});
+  Stopwatch merge_watch;
+  merge_watch.Start();
+  internal_grouping::MergeChunks(parts).ForEach(emit);
+  internal_counters::AddGroupingPath(dense ? 1 : 0, dense ? 0 : 1);
+  return static_cast<std::uint64_t>(merge_watch.ElapsedMicros()) * 1000u;
+}
+
+/// Runs Algorithm 2 on group codes (NodeCodes, shared with the evolution
+/// aggregation): each side scans into per-chunk tables on the pool — flat
+/// arrays when ResolveGrouping says dense, hash maps on the code otherwise —
+/// merges them in ascending chunk order, and decodes each group to its
+/// tuple once, when it is emitted. The answer is the same at any thread
+/// count and under either grouping.
+///
+/// Per-stage counters (rows scanned, chunks, merge time, dense/hash group
+/// sides) feed `GetExecCounters`.
+AggregateGraph AggregateImpl(const TemporalGraph& graph, const GraphView& view,
+                             std::span<const AttrRef> attrs,
+                             const AggregationOptions& options) {
+  GT_SPAN("agg/aggregate", {{"nodes", view.nodes.size()},
+                            {"edges", view.edges.size()}});
+  GT_CHECK_EQ(view.times.domain_size(), graph.num_times())
+      << "view interval does not match the graph's time domain";
+  const GroupingResolution grouping = ResolveGrouping(graph, attrs, options.grouping);
+  if (options.grouping == GroupingStrategy::kDense) {
+    GT_CHECK(grouping.dense_nodes && grouping.dense_edges)
+        << "attribute domain too large for forced dense grouping";
+  }
+  const bool distinct = options.semantics == AggregationSemantics::kDistinct;
+  const bool static_codes = options.filter == nullptr && AllStatic(attrs);
+  std::vector<TimeId> times;
+  if (!static_codes) view.times.ForEach([&](TimeId t) { times.push_back(t); });
+  if (!static_codes && times.empty()) return AggregateGraph{};  // no appearance
+  const NodeCodes codes(graph, attrs, times, options.filter, "agg/codes");
+  const std::uint64_t cells = codes.cells();
+  const std::span<const std::pair<NodeId, NodeId>> endpoints = graph.edge_endpoints();
+
+  AggregateGraph result;
+  std::vector<GroupWeights<Weight>> node_parts = ScanSide(
+      "agg/nodes_scan", std::span<const NodeId>(view.nodes), graph.node_presence(),
+      view.times, distinct, static_codes, grouping.dense_nodes, cells,
+      [&](NodeId n) -> std::uint64_t { return codes.At(n); },
+      [&](NodeId n, TimeId t) -> std::optional<std::uint64_t> {
+        const std::uint32_t code = codes.At(n, t);
+        if (code == NodeCodes::kHidden) return std::nullopt;
+        return code;
+      });
+  std::uint64_t merge_nanos = MergeSide(
+      "agg/nodes_merge", node_parts, grouping.dense_nodes,
+      [&](std::uint64_t code, Weight w) { result.AddNodeWeight(codes.Tuple(code), w); });
+
+  // Edge code: code(src) · cells + code(dst).
+  std::vector<GroupWeights<Weight>> edge_parts = ScanSide(
+      "agg/edges_scan", std::span<const EdgeId>(view.edges), graph.edge_presence(),
+      view.times, distinct, static_codes, grouping.dense_edges, cells * cells,
+      [&](EdgeId e) -> std::uint64_t {
+        return codes.At(endpoints[e].first) * cells + codes.At(endpoints[e].second);
+      },
+      [&](EdgeId e, TimeId t) -> std::optional<std::uint64_t> {
+        const std::uint32_t src = codes.At(endpoints[e].first, t);
+        const std::uint32_t dst = codes.At(endpoints[e].second, t);
+        if (src == NodeCodes::kHidden || dst == NodeCodes::kHidden) return std::nullopt;
+        return src * cells + dst;
+      });
+  merge_nanos += MergeSide("agg/edges_merge", edge_parts, grouping.dense_edges,
+                           [&](std::uint64_t code, Weight w) {
+                             result.AddEdgeWeight(codes.Tuple(code / cells),
+                                                  codes.Tuple(code % cells), w);
+                           });
+
+  internal_counters::AddAggregation(view.nodes.size() + view.edges.size(),
+                                    node_parts.size() + edge_parts.size(), merge_nanos);
   return result;
 }
 
@@ -391,7 +217,7 @@ AggregateGraph Aggregate(const TemporalGraph& graph, const GraphView& view,
                          std::span<const AttrRef> attrs,
                          const AggregationOptions& options) {
   GT_CHECK(!attrs.empty()) << "aggregation needs at least one attribute";
-  return AggregateImpl(graph, view, attrs, options, /*allow_static_path=*/true);
+  return AggregateImpl(graph, view, attrs, options);
 }
 
 AggregateGraph Aggregate(const TemporalGraph& graph, const GraphView& view,
@@ -406,21 +232,12 @@ GroupingResolution ResolveGrouping(const TemporalGraph& graph,
                                    GroupingStrategy requested) {
   GroupingResolution resolution;
   if (requested == GroupingStrategy::kHash) return resolution;
-  std::optional<DensePacker> packer =
-      DensePacker::Create(graph, attrs, kDenseNodeCellsMax);
+  std::optional<internal_grouping::DensePacker> packer =
+      internal_grouping::DensePacker::Create(graph, attrs, kDenseNodeCellsMax);
   resolution.dense_nodes = packer.has_value();
   resolution.dense_edges = resolution.dense_nodes &&
                            packer->cells() * packer->cells() <= kDenseEdgePairsMax;
   return resolution;
-}
-
-AggregateGraph AggregateGeneralPath(const TemporalGraph& graph, const GraphView& view,
-                                    std::span<const AttrRef> attrs,
-                                    const AggregationOptions& options) {
-  GT_CHECK(!attrs.empty()) << "aggregation needs at least one attribute";
-  AggregationOptions reference = options;
-  reference.grouping = GroupingStrategy::kHash;  // the reference never hashes densely
-  return AggregateImpl(graph, view, attrs, reference, /*allow_static_path=*/false);
 }
 
 namespace {

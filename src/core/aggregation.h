@@ -27,9 +27,10 @@
 ///   * ALL  — every (entity, time) appearance counts.
 ///
 /// On a single time point the two coincide (paper, Fig 3). The implementation
-/// follows Algorithm 2 plus the Section 4.2 optimization: when every
-/// aggregation attribute is static, the per-time unpivot/deduplication is
-/// skipped entirely (DIST) or replaced by a presence popcount (ALL).
+/// follows Algorithm 2 on per-node group codes plus the Section 4.2
+/// optimization: when every aggregation attribute is static (and no filter
+/// applies), the per-time unpivot/deduplication is skipped entirely (DIST)
+/// or replaced by a presence popcount (ALL).
 
 namespace graphtempo {
 
@@ -149,18 +150,21 @@ class AggregateGraph {
 /// DIST or ALL counting (see file comment).
 enum class AggregationSemantics { kDistinct, kAll };
 
-/// How Algorithm 2 groups tuples into aggregate nodes and edges.
+/// How Algorithm 2 groups the group codes of appearances into aggregate
+/// nodes and edges.
 ///
-/// The *dense* path packs each tuple into a mixed-radix integer over the
-/// attribute dictionary domains and accumulates weights in flat arrays (one
-/// add per appearance, no hashing); it applies when the packed cell space is
-/// small (see `kDenseNodeCellsMax` / `kDenseEdgePairsMax`). The *hash* path
-/// is the NodeMap/EdgeMap reference. Both produce identical AggregateGraphs;
-/// the differential suite in tests/operator_kernel_test.cc pins this.
+/// Every tuple is a group code (a mixed-radix integer over the attribute
+/// dictionary domains, or the tuple's index when the domain does not fit 32
+/// bits). The *dense* path accumulates weights in flat arrays indexed by
+/// code; it applies when the packed cell space is small (see
+/// `kDenseNodeCellsMax` / `kDenseEdgePairsMax`). The *hash* path
+/// accumulates them in hash maps keyed by code. Both produce identical
+/// AggregateGraphs; tests/aggregation_kernel_test.cc pins both against the
+/// reference in tests/reference_impl.h.
 enum class GroupingStrategy {
   kAuto,   ///< dense when the packed domain fits the thresholds (default)
   kDense,  ///< force dense; GT_CHECKs that the domain fits
-  kHash,   ///< force the hash-map reference path
+  kHash,   ///< force hash tables on the group codes
 };
 
 /// kAuto thresholds: a dense node table holds at most this many cells, and a
@@ -182,10 +186,10 @@ struct AggregationOptions {
 };
 
 /// Which grouping paths Algorithm 2 will take for `attrs` on `graph` under
-/// `requested` — the same domain-size inspection `Aggregate` performs, exposed
-/// so the query planner can render its grouping decision in
-/// `QueryPlan::Explain` without running the aggregation (docs/ENGINE.md).
-/// Pure dictionary arithmetic; no data scan.
+/// `requested`. `Aggregate` calls it to choose its tables, and the query
+/// planner calls it to render the grouping decision in `QueryPlan::Explain`
+/// without running the aggregation (docs/ENGINE.md), so the two cannot
+/// disagree. Pure dictionary arithmetic; no data scan.
 struct GroupingResolution {
   bool dense_nodes = false;  ///< node side uses the flat dense table
   bool dense_edges = false;  ///< edge side uses the flat dense pair table
@@ -209,14 +213,6 @@ AggregateGraph Aggregate(const TemporalGraph& graph, const GraphView& view,
 AggregateGraph Aggregate(const TemporalGraph& graph, const GraphView& view,
                          std::span<const AttrRef> attrs,
                          AggregationSemantics semantics = AggregationSemantics::kDistinct);
-
-/// Reference implementation without the static-only fast paths: always walks
-/// (entity, time) appearances and always groups through the hash maps
-/// (GroupingStrategy::kHash), whatever `options.grouping` says. Used by tests
-/// to pin the fast paths and by the ablation benchmark.
-AggregateGraph AggregateGeneralPath(const TemporalGraph& graph, const GraphView& view,
-                                    std::span<const AttrRef> attrs,
-                                    const AggregationOptions& options);
 
 /// Merges mirrored aggregate edges: the weights of (a, b) and (b, a) are
 /// summed under the canonical orientation (lower tuple first, by code

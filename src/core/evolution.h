@@ -51,6 +51,13 @@ struct EvolutionWeights {
 
   Weight ForEvent(EventType event) const;
 
+  EvolutionWeights& operator+=(const EvolutionWeights& other) {
+    stability += other.stability;
+    growth += other.growth;
+    shrinkage += other.shrinkage;
+    return *this;
+  }
+
   bool operator==(const EvolutionWeights&) const = default;
 };
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/operators.h"
+#include "reference_impl.h"
 #include "test_graphs.h"
 
 namespace graphtempo {
@@ -199,7 +200,7 @@ TEST_P(FastPathEquivalence, StaticFastPathMatchesGeneralPath) {
           DifferenceOp(graph, IntervalSet::Range(7, 0, 2), IntervalSet::Range(7, 3, 6)),
           Project(graph, IntervalSet::Point(7, 4))}) {
       EXPECT_EQ(Aggregate(graph, view, attrs, options),
-                AggregateGeneralPath(graph, view, attrs, options));
+                testing::RefAggregate(graph, view, attrs, options.semantics));
     }
   }
 }

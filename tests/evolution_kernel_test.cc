@@ -15,6 +15,7 @@
 #include "engine/engine.h"
 #include "engine/wire.h"
 #include "reference_impl.h"
+#include "test_graphs.h"
 #include "util/parallel.h"
 
 /// \file
@@ -34,7 +35,9 @@
 namespace graphtempo {
 namespace {
 
+using testing::BuildShapedGraph;
 using testing::RefAggregateEvolution;
+using testing::Shape;
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 7, 16};
 
@@ -42,73 +45,6 @@ class EvolutionKernelTest : public ::testing::Test {
  protected:
   void TearDown() override { SetParallelism(1); }
 };
-
-struct Shape {
-  std::size_t nodes = 0;
-  std::size_t times = 0;
-  std::size_t edges = 0;
-  std::uint32_t colors = 4;
-  std::uint32_t levels = 4;
-  /// Distinct values of each `wide_*` attribute (node i gets value i mod wide,
-  /// permuted per attribute; keep it coprime to 7, 11 and 13).
-  std::size_t wide = 8;
-};
-
-/// `prefix` followed by `n` in decimal, e.g. Label("t", 3) == "t3".
-std::string Label(const char* prefix, std::uint64_t n) {
-  std::string label = prefix;
-  label += std::to_string(n);
-  return label;
-}
-
-/// A random graph with static `color` and `wide_a` … `wide_d`, and
-/// time-varying `level` / `mood`. About 10% of colors and of present-time
-/// levels are left unset (kNoValue), and edge presence marks endpoints
-/// present at times they carry no level, so kNoValue reaches edge keys too.
-TemporalGraph BuildGraph(std::uint64_t seed, const Shape& shape) {
-  datagen::Pcg32 rng(seed);
-  std::vector<std::string> labels;
-  for (std::size_t t = 0; t < shape.times; ++t) labels.push_back(Label("t", t));
-  TemporalGraph graph(std::move(labels));
-  const std::uint32_t color = graph.AddStaticAttribute("color");
-  const std::uint32_t wide_a = graph.AddStaticAttribute("wide_a");
-  const std::uint32_t wide_b = graph.AddStaticAttribute("wide_b");
-  const std::uint32_t wide_c = graph.AddStaticAttribute("wide_c");
-  const std::uint32_t wide_d = graph.AddStaticAttribute("wide_d");
-  const std::uint32_t level = graph.AddTimeVaryingAttribute("level");
-  const std::uint32_t mood = graph.AddTimeVaryingAttribute("mood");
-
-  for (std::size_t i = 0; i < shape.nodes; ++i) {
-    const NodeId n = graph.AddNode(Label("n", i));
-    if (!rng.NextBool(0.1)) {
-      graph.SetStaticValue(color, n, Label("c", rng.NextBelow(shape.colors)));
-    }
-    graph.SetStaticValue(wide_a, n, Label("a", i % shape.wide));
-    graph.SetStaticValue(wide_b, n, Label("b", (i * 7) % shape.wide));
-    graph.SetStaticValue(wide_c, n, Label("c", (i * 13) % shape.wide));
-    graph.SetStaticValue(wide_d, n, Label("d", (i * 11) % shape.wide));
-    for (TimeId t = 0; t < shape.times; ++t) {
-      if (!rng.NextBool(0.4)) continue;
-      graph.SetNodePresent(n, t);
-      if (!rng.NextBool(0.1)) {
-        graph.SetTimeVaryingValue(level, n, t,
-                                  Label("l", rng.NextBelow(shape.levels)));
-      }
-      graph.SetTimeVaryingValue(mood, n, t, rng.NextBool(0.5) ? "up" : "down");
-    }
-  }
-  const auto nodes = static_cast<std::uint32_t>(shape.nodes);
-  for (std::size_t i = 0; i < shape.edges; ++i) {
-    const NodeId u = rng.NextBelow(nodes);
-    const NodeId v = rng.NextBelow(nodes);
-    if (u == v) continue;
-    const EdgeId e = graph.GetOrAddEdge(u, v);
-    for (TimeId t = 0; t < shape.times; ++t) {
-      if (rng.NextBool(0.3)) graph.SetEdgePresent(e, t);
-    }
-  }
-  return graph;
-}
 
 IntervalSet Scattered(datagen::Pcg32& rng, std::size_t n) {
   IntervalSet set(n);
@@ -200,7 +136,7 @@ const std::vector<std::vector<std::string>> kSmallDomainSets = {
 TEST_F(EvolutionKernelTest, MatchesReferenceOnSmallDomains) {
   for (std::uint64_t seed : {11u, 12u}) {
     const Shape shape{.nodes = 1200, .times = 9, .edges = 6000};
-    const TemporalGraph graph = BuildGraph(seed, shape);
+    const TemporalGraph graph = BuildShapedGraph(seed, shape);
     for (const auto& names : kSmallDomainSets) {
       ExpectMatchesReference(graph, graph, seed, names, nullptr);
       ExpectMatchesReference(graph, graph, seed, names, &kFilter);
@@ -212,7 +148,7 @@ TEST_F(EvolutionKernelTest, MatchesReferenceBeyondTheDenseThresholds) {
   // 300 values per wide attribute (radix 301), against kDenseEdgePairsMax =
   // 2^20 pairs, kDenseNodeCellsMax = 2^18 cells and the 2^32 packable cells.
   const Shape shape{.nodes = 1100, .times = 6, .edges = 2000, .wide = 300};
-  const TemporalGraph graph = BuildGraph(21, shape);
+  const TemporalGraph graph = BuildShapedGraph(21, shape);
   struct Case {
     std::vector<std::string> names;
     bool dense_nodes;
@@ -238,7 +174,7 @@ TEST_F(EvolutionKernelTest, MatchesReferenceBeyondTheDenseThresholds) {
 
 TEST_F(EvolutionKernelTest, MatchesReferenceOnSnapshotRestoredGraph) {
   const Shape shape{.nodes = 1200, .times = 8, .edges = 6000};
-  const TemporalGraph graph = BuildGraph(31, shape);
+  const TemporalGraph graph = BuildShapedGraph(31, shape);
   const std::string path = ::testing::TempDir() + "/gt_evolution_kernel_" +
                            std::to_string(getpid()) + ".snap";
   std::string error;
@@ -256,7 +192,7 @@ TEST_F(EvolutionKernelTest, MatchesReferenceOnSnapshotRestoredGraph) {
 
 TEST_F(EvolutionKernelTest, RankEventGroupsMatchesReferenceRanking) {
   const Shape shape{.nodes = 800, .times = 7, .edges = 4000};
-  const TemporalGraph graph = BuildGraph(41, shape);
+  const TemporalGraph graph = BuildShapedGraph(41, shape);
   const std::vector<AttrRef> attrs = ResolveAttributes(graph, {"color", "level"});
   const IntervalSet t_old = IntervalSet::Range(7, 0, 3);
   const IntervalSet t_new = IntervalSet::Range(7, 2, 6);

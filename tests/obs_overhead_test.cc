@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/aggregation.h"
@@ -18,7 +20,8 @@
 /// instrumentation of the Figure-5 hot loop must cost under 2% of its
 /// runtime. The test measures the per-span inactive cost directly, counts
 /// how many spans one hot-loop iteration emits (with a session), and checks
-/// cost-per-span x spans-per-iteration against 2% of the measured iteration.
+/// cost-per-span x spans-per-iteration against 2% of the measured iteration,
+/// each the minimum over alternating rounds.
 
 namespace graphtempo {
 namespace {
@@ -49,18 +52,29 @@ TEST(ObsOverheadTest, InactiveSpansStayUnderTheTwoPercentBudget) {
   }
   ASSERT_GT(spans_per_iteration, 0u);
 
-  // Per-span cost with no session active (the production default).
+  // Per-span cost with no session active (the production default) against
+  // one iteration. The two are timed in alternating short rounds and each
+  // keeps its minimum: a burst of host load that slows some rounds cannot
+  // decide the comparison, while a real regression slows every round.
   ASSERT_FALSE(obs::TracingActive());
-  constexpr std::size_t kProbeSpans = 2'000'000;
-  Stopwatch watch;
-  watch.Start();
-  for (std::size_t i = 0; i < kProbeSpans; ++i) {
-    GT_SPAN("test/overhead_probe");
+  constexpr int kRounds = 25;
+  constexpr std::size_t kProbeSpans = 200'000;
+  double nanos_per_span = std::numeric_limits<double>::infinity();
+  double iteration_ms = std::numeric_limits<double>::infinity();
+  for (int round = 0; round < kRounds; ++round) {
+    Stopwatch probe_watch;
+    probe_watch.Start();
+    for (std::size_t i = 0; i < kProbeSpans; ++i) {
+      GT_SPAN("test/overhead_probe");
+    }
+    nanos_per_span = std::min(nanos_per_span,
+                              static_cast<double>(probe_watch.ElapsedMicros()) * 1000.0 /
+                                  static_cast<double>(kProbeSpans));
+    Stopwatch iteration_watch;
+    iteration_watch.Start();
+    iteration();
+    iteration_ms = std::min(iteration_ms, iteration_watch.ElapsedMillis());
   }
-  const double probe_micros = static_cast<double>(watch.ElapsedMicros());
-  const double nanos_per_span = probe_micros * 1000.0 / kProbeSpans;
-
-  const double iteration_ms = MedianMillis(5, iteration);
   const double span_cost_ms =
       nanos_per_span * static_cast<double>(spans_per_iteration) / 1e6;
 

@@ -8,6 +8,7 @@
 #include "core/presence_index.h"
 #include "core/stats.h"
 #include "datagen/random.h"
+#include "reference_impl.h"
 #include "test_graphs.h"
 #include "util/parallel.h"
 
@@ -268,11 +269,10 @@ TEST_F(OperatorKernelTest, DenseGroupingMatchesHashReference) {
             ExpectSameAggregate(Aggregate(graph, view, attrs, dense_options),
                                 Aggregate(graph, view, attrs, hash_options),
                                 names.front().c_str(), seed, threads);
-            // And both must match the no-fast-path reference.
-            ExpectSameAggregate(
-                Aggregate(graph, view, attrs, dense_options),
-                AggregateGeneralPath(graph, view, attrs, hash_options),
-                "vs general reference", seed, threads);
+            // And both must match the reference.
+            ExpectSameAggregate(Aggregate(graph, view, attrs, dense_options),
+                                testing::RefAggregate(graph, view, attrs, sem),
+                                "vs reference", seed, threads);
           }
         }
       }

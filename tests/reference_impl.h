@@ -27,8 +27,8 @@
 /// paper's operators and aggregation, written for obviousness rather than
 /// speed: τ as std::set<TimeId>, set algebra spelled out, no bit tricks, no
 /// fast paths. The differential test suites (`reference_test.cc`,
-/// `evolution_kernel_test.cc`, `wire_test.cc`) check the optimized library
-/// against these on randomized graphs.
+/// `aggregation_kernel_test.cc`, `evolution_kernel_test.cc`, `wire_test.cc`)
+/// check the optimized library against these on randomized graphs.
 ///
 /// The last section holds the reference response renderers: the query
 /// service's JSON bodies built as a `json::Value` tree from rows copied out
@@ -150,10 +150,13 @@ inline GraphView RefDifference(const TemporalGraph& graph, const IntervalSet& t1
 
 /// Def 2.6 / Algorithm 2, literal form: unpivot every (entity, time)
 /// appearance within the view interval, deduplicate per entity for DIST,
-/// group-count. std::map keyed by value vectors — slow and obvious.
+/// group-count. std::set keyed by value vectors — slow and obvious. With a
+/// `filter`, a node appearance counts only if the filter passes it, and an
+/// edge appearance only if it passes both endpoints at that time.
 inline AggregateGraph RefAggregate(const TemporalGraph& graph, const GraphView& view,
                                    const std::vector<AttrRef>& attrs,
-                                   AggregationSemantics semantics) {
+                                   AggregationSemantics semantics,
+                                   const NodeTimeFilter* filter = nullptr) {
   AggregateGraph result;
   std::set<TimeId> interval = ToSet(view.times);
 
@@ -172,6 +175,7 @@ inline AggregateGraph RefAggregate(const TemporalGraph& graph, const GraphView& 
     std::set<std::vector<AttrValueId>> seen;
     for (TimeId t : interval) {
       if (!graph.NodePresentAt(n, t)) continue;
+      if (filter != nullptr && !(*filter)(n, t)) continue;
       std::vector<AttrValueId> tuple = tuple_at(n, t);
       if (semantics == AggregationSemantics::kDistinct) {
         if (!seen.insert(tuple).second) continue;
@@ -184,6 +188,7 @@ inline AggregateGraph RefAggregate(const TemporalGraph& graph, const GraphView& 
     std::set<std::pair<std::vector<AttrValueId>, std::vector<AttrValueId>>> seen;
     for (TimeId t : interval) {
       if (!graph.EdgePresentAt(e, t)) continue;
+      if (filter != nullptr && (!(*filter)(src, t) || !(*filter)(dst, t))) continue;
       auto pair = std::make_pair(tuple_at(src, t), tuple_at(dst, t));
       if (semantics == AggregationSemantics::kDistinct) {
         if (!seen.insert(pair).second) continue;

@@ -1,6 +1,7 @@
 #ifndef GRAPHTEMPO_TESTS_TEST_GRAPHS_H_
 #define GRAPHTEMPO_TESTS_TEST_GRAPHS_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -86,6 +87,74 @@ inline TemporalGraph BuildRandomGraph(std::uint64_t seed, std::size_t num_nodes,
           graph.SetEdgePresent(e, t);
         }
       }
+    }
+  }
+  return graph;
+}
+
+/// The shape of a BuildShapedGraph graph.
+struct Shape {
+  std::size_t nodes = 0;
+  std::size_t times = 0;
+  std::size_t edges = 0;
+  std::uint32_t colors = 4;
+  std::uint32_t levels = 4;
+  /// Distinct values of each `wide_*` attribute (node i gets value i mod wide,
+  /// permuted per attribute; keep it coprime to 7, 11 and 13).
+  std::size_t wide = 8;
+};
+
+/// `prefix` followed by `n` in decimal, e.g. Label("t", 3) == "t3".
+inline std::string Label(const char* prefix, std::uint64_t n) {
+  std::string label = prefix;
+  label += std::to_string(n);
+  return label;
+}
+
+/// A random graph of `shape` with static `color` and `wide_a` … `wide_d`, and
+/// time-varying `level` / `mood`. About 10% of colors and of present-time
+/// levels are left unset (kNoValue), and edge presence marks endpoints
+/// present at times they carry no level, so kNoValue reaches edge keys too.
+inline TemporalGraph BuildShapedGraph(std::uint64_t seed, const Shape& shape) {
+  datagen::Pcg32 rng(seed);
+  std::vector<std::string> labels;
+  for (std::size_t t = 0; t < shape.times; ++t) labels.push_back(Label("t", t));
+  TemporalGraph graph(std::move(labels));
+  const std::uint32_t color = graph.AddStaticAttribute("color");
+  const std::uint32_t wide_a = graph.AddStaticAttribute("wide_a");
+  const std::uint32_t wide_b = graph.AddStaticAttribute("wide_b");
+  const std::uint32_t wide_c = graph.AddStaticAttribute("wide_c");
+  const std::uint32_t wide_d = graph.AddStaticAttribute("wide_d");
+  const std::uint32_t level = graph.AddTimeVaryingAttribute("level");
+  const std::uint32_t mood = graph.AddTimeVaryingAttribute("mood");
+
+  for (std::size_t i = 0; i < shape.nodes; ++i) {
+    const NodeId n = graph.AddNode(Label("n", i));
+    if (!rng.NextBool(0.1)) {
+      graph.SetStaticValue(color, n, Label("c", rng.NextBelow(shape.colors)));
+    }
+    graph.SetStaticValue(wide_a, n, Label("a", i % shape.wide));
+    graph.SetStaticValue(wide_b, n, Label("b", (i * 7) % shape.wide));
+    graph.SetStaticValue(wide_c, n, Label("c", (i * 13) % shape.wide));
+    graph.SetStaticValue(wide_d, n, Label("d", (i * 11) % shape.wide));
+    for (TimeId t = 0; t < shape.times; ++t) {
+      if (!rng.NextBool(0.4)) continue;
+      graph.SetNodePresent(n, t);
+      if (!rng.NextBool(0.1)) {
+        graph.SetTimeVaryingValue(level, n, t,
+                                  Label("l", rng.NextBelow(shape.levels)));
+      }
+      graph.SetTimeVaryingValue(mood, n, t, rng.NextBool(0.5) ? "up" : "down");
+    }
+  }
+  const auto nodes = static_cast<std::uint32_t>(shape.nodes);
+  for (std::size_t i = 0; i < shape.edges; ++i) {
+    const NodeId u = rng.NextBelow(nodes);
+    const NodeId v = rng.NextBelow(nodes);
+    if (u == v) continue;
+    const EdgeId e = graph.GetOrAddEdge(u, v);
+    for (TimeId t = 0; t < shape.times; ++t) {
+      if (rng.NextBool(0.3)) graph.SetEdgePresent(e, t);
     }
   }
   return graph;
