@@ -2,15 +2,23 @@
 /// out in DESIGN.md —
 ///   * word-parallel presence predicates vs. the per-column naive scan;
 ///   * the static-attribute aggregation fast path vs. the general path;
-///   * the monotonicity-pruned explorer vs. exhaustive enumeration.
+///   * the monotonicity-pruned explorer vs. exhaustive enumeration;
+///   * the cost of appending a time point as the history grows.
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "bench_common.h"
 #include "engine/cube.h"
 #include "core/naive_exploration.h"
 #include "core/materialization.h"
 #include "core/operators.h"
+#include "datagen/dblp_gen.h"
+#include "datagen/random.h"
 #include "storage/bitset.h"
 #include "util/parallel.h"
 
@@ -268,6 +276,48 @@ void BM_UnionOpParallel(benchmark::State& state) {
   gt::SetParallelism(1);
 }
 BENCHMARK(BM_UnionOpParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+// --- Append-only ingest: one time point plus its batch ----------------------------------
+//
+// Appends one point to the DBLP stand-in grown to state.range(0) points, then
+// writes a streaming batch at it: 300 edges between existing nodes and a
+// time-varying value for every endpoint, the shape of the serving
+// benchmark's ingest batches. Growing the graph uses the same batches. The
+// time-major attribute columns append in O(entities); what still grows with
+// the history is the presence bookkeeping per new edge.
+
+void AppendBatch(gt::TemporalGraph* graph, gt::datagen::Pcg32* rng,
+                 std::string_view label) {
+  constexpr std::size_t kBatchEdges = 300;
+  const gt::TimeId t = graph->AppendTimePoint(label);
+  const std::vector<std::string>& values =
+      graph->time_varying_attribute(0).dictionary().values();
+  const auto num_values =
+      static_cast<std::uint32_t>(std::min<std::size_t>(values.size(), 8));
+  const auto num_nodes = static_cast<std::uint32_t>(graph->num_nodes());
+  for (std::size_t i = 0; i < kBatchEdges; ++i) {
+    const gt::NodeId src = rng->NextBelow(num_nodes);
+    const gt::NodeId dst = rng->NextBelow(num_nodes);
+    if (src == dst) continue;
+    graph->SetEdgePresent(graph->GetOrAddEdge(src, dst), t);
+    graph->SetTimeVaryingValue(0, src, t, values[rng->NextBelow(num_values)]);
+    graph->SetTimeVaryingValue(0, dst, t, values[rng->NextBelow(num_values)]);
+  }
+}
+
+void BM_AppendTimePoint(benchmark::State& state) {
+  gt::TemporalGraph graph = gt::datagen::GenerateDblp();
+  gt::datagen::Pcg32 rng(11);
+  std::size_t next_label = 0;
+  auto append = [&] { AppendBatch(&graph, &rng, "p" + std::to_string(next_label++)); };
+  while (graph.num_times() < static_cast<std::size_t>(state.range(0))) append();
+  for (auto _ : state) append();
+  state.counters["points_after"] = static_cast<double>(graph.num_times());
+}
+// A fixed, small iteration count: every iteration adds a point, so the
+// measured history stays within a few points of the argument.
+BENCHMARK(BM_AppendTimePoint)->Arg(21)->Arg(100)->Arg(400)->Iterations(5)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

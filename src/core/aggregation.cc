@@ -149,24 +149,28 @@ AggregateGraph AggregateImpl(const TemporalGraph& graph, const GraphView& view,
       "agg/nodes_merge", node_parts, grouping.dense_nodes,
       [&](std::uint64_t code, Weight w) { result.AddNodeWeight(codes.Tuple(code), w); });
 
-  // Edge code: code(src) · cells + code(dst).
-  std::vector<GroupWeights<Weight>> edge_parts = ScanSide(
-      "agg/edges_scan", std::span<const EdgeId>(view.edges), graph.edge_presence(),
-      view.times, distinct, static_codes, grouping.dense_edges, cells * cells,
-      [&](EdgeId e) -> std::uint64_t {
-        return codes.At(endpoints[e].first) * cells + codes.At(endpoints[e].second);
-      },
-      [&](EdgeId e, TimeId t) -> std::optional<std::uint64_t> {
-        const std::uint32_t src = codes.At(endpoints[e].first, t);
-        const std::uint32_t dst = codes.At(endpoints[e].second, t);
-        if (src == NodeCodes::kHidden || dst == NodeCodes::kHidden) return std::nullopt;
-        return src * cells + dst;
-      });
-  merge_nanos += MergeSide("agg/edges_merge", edge_parts, grouping.dense_edges,
-                           [&](std::uint64_t code, Weight w) {
-                             result.AddEdgeWeight(codes.Tuple(code / cells),
-                                                  codes.Tuple(code % cells), w);
-                           });
+  // Edge code: code(src) · cells + code(dst). A view without edges skips
+  // the side: even an empty scan would zero a dense table of cells² weights.
+  std::vector<GroupWeights<Weight>> edge_parts;
+  if (!view.edges.empty()) {
+    edge_parts = ScanSide(
+        "agg/edges_scan", std::span<const EdgeId>(view.edges), graph.edge_presence(),
+        view.times, distinct, static_codes, grouping.dense_edges, cells * cells,
+        [&](EdgeId e) -> std::uint64_t {
+          return codes.At(endpoints[e].first) * cells + codes.At(endpoints[e].second);
+        },
+        [&](EdgeId e, TimeId t) -> std::optional<std::uint64_t> {
+          const std::uint32_t src = codes.At(endpoints[e].first, t);
+          const std::uint32_t dst = codes.At(endpoints[e].second, t);
+          if (src == NodeCodes::kHidden || dst == NodeCodes::kHidden) return std::nullopt;
+          return src * cells + dst;
+        });
+    merge_nanos += MergeSide("agg/edges_merge", edge_parts, grouping.dense_edges,
+                             [&](std::uint64_t code, Weight w) {
+                               result.AddEdgeWeight(codes.Tuple(code / cells),
+                                                    codes.Tuple(code % cells), w);
+                             });
+  }
 
   internal_counters::AddAggregation(view.nodes.size() + view.edges.size(),
                                     node_parts.size() + edge_parts.size(), merge_nanos);

@@ -131,7 +131,16 @@ std::string EncodeVaryingColumns(const std::vector<TimeVaryingColumn>& columns) 
     out.Str(column.name());
     out.U32(static_cast<std::uint32_t>(column.num_times()));
     EncodeDictionary(column.dictionary(), &out);
-    EncodeCodes(column.codes(), &out);
+    // The bytes stay entity-major (entity · num_times + t), as the format
+    // has always stored them; the column is time-major, so transpose.
+    std::vector<const AttrValueId*> by_time;
+    for (std::size_t t = 0; t < column.num_times(); ++t) {
+      by_time.push_back(column.CodesAt(t).data());
+    }
+    out.U64(column.size() * by_time.size());
+    for (std::size_t entity = 0; entity < column.size(); ++entity) {
+      for (const AttrValueId* codes : by_time) out.U32(codes[entity]);
+    }
   }
   return out.Take();
 }
@@ -155,8 +164,15 @@ bool DecodeVaryingColumns(std::string_view bytes, std::size_t entities,
     if (column_times != num_times || codes.size() != entities * num_times) {
       return false;
     }
+    std::vector<std::vector<AttrValueId>> by_time(num_times,
+                                                  std::vector<AttrValueId>(entities));
+    for (std::size_t entity = 0; entity < entities; ++entity) {
+      for (std::size_t t = 0; t < num_times; ++t) {
+        by_time[t][entity] = codes[entity * num_times + t];
+      }
+    }
     TimeVaryingColumn column(std::move(name), num_times);
-    if (!column.Restore(std::move(dict_values), std::move(codes))) return false;
+    if (!column.Restore(std::move(dict_values), entities, std::move(by_time))) return false;
     columns->push_back(std::move(column));
   }
   return in.AtEnd();

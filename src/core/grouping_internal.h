@@ -91,16 +91,18 @@ class DensePacker {
 /// cells, and otherwise the index of the tuple among the distinct ones the
 /// request meets; `kHidden` marks a (node, time) the filter hides.
 ///
-/// The attribute columns are hoisted once per request: the code of
-/// attribute i for node n at time t is `base[n * entity_stride + t *
-/// time_stride]` (time_stride 0 for a static column), one load instead of a
-/// bounds-checked call. Static attributes without a filter get one code per
-/// node: computed up front when there are several (one load then replaces a
-/// multiply-add per attribute), and read straight from the column for a
-/// single one (its digit is the stored value + 1, so a pass over every node
-/// would only add work). Otherwise packed codes are computed per
-/// appearance, and unpackable domains number their tuples up front, one
-/// code per node and time point of the request.
+/// The attribute columns are hoisted once per request, as one base pointer
+/// per attribute and time point: the code of attribute i for node n at time
+/// t is `at_time[t][n]`, where a time-varying column contributes its
+/// per-time-point code arrays and a static column its one array at every t.
+/// Two loads (the first hot) instead of a bounds-checked call. Static
+/// attributes without a filter get one code per node: computed up front when
+/// there are several (one load then replaces a multiply-add per attribute),
+/// and read straight from the column for a single one (its digit is the
+/// stored value + 1, so a pass over every node would only add work).
+/// Otherwise packed codes are computed per appearance, and unpackable domains
+/// number their tuples up front, one code per node and time point of the
+/// request.
 class NodeCodes {
  public:
   static constexpr std::uint32_t kHidden = std::numeric_limits<std::uint32_t>::max();
@@ -117,25 +119,30 @@ class NodeCodes {
         slots_(std::max<std::size_t>(times.size(), 1)) {
     GT_CHECK_LE(attrs.size(), AttrTuple::kMaxAttrs) << "too many aggregation attributes";
     const std::size_t nodes = graph.num_nodes();
+    const std::size_t domain = std::max<std::size_t>(graph.num_times(), 1);
+    bases_.resize(attrs.size() * domain);
     for (const AttrRef& ref : attrs) {
+      const AttrValueId** at_time = bases_.data() + num_attrs_ * domain;
       if (ref.kind == AttrRef::Kind::kStatic) {
         const std::vector<AttrValueId>& codes = graph.static_attribute(ref.index).codes();
         GT_CHECK_GE(codes.size(), nodes) << "static attribute column misses nodes";
-        columns_[num_attrs_] = {codes.data(), 1, 0};
+        std::fill(at_time, at_time + domain, codes.data());
       } else {
         const TimeVaryingColumn& column = graph.time_varying_attribute(ref.index);
         GT_CHECK_EQ(column.num_times(), graph.num_times())
             << "time-varying attribute column misses time points";
-        GT_CHECK_GE(column.codes().size(), nodes * graph.num_times())
-            << "time-varying attribute column misses nodes";
-        columns_[num_attrs_] = {column.codes().data(), column.num_times(), 1};
+        GT_CHECK_GE(column.size(), nodes) << "time-varying attribute column misses nodes";
+        for (std::size_t t = 0; t < column.num_times(); ++t) {
+          at_time[t] = column.CodesAt(t).data();
+        }
       }
+      columns_[num_attrs_].at_time = at_time;
       if (packer_.has_value()) columns_[num_attrs_].radix = packer_->radix(num_attrs_);
       ++num_attrs_;
     }
     if (packer_.has_value()) cells_ = packer_->cells();
     if (packer_.has_value() && times.empty() && num_attrs_ == 1) {
-      node_codes_ = columns_[0].base;  // Digit(code) == code + 1
+      node_codes_ = columns_[0].at_time[0];  // Digit(code) == code + 1
       node_offset_ = 1;
     } else if (!per_appearance_) {
       // Up front: one code per node (static), or one per node and time.
@@ -205,15 +212,12 @@ class NodeCodes {
   static constexpr std::size_t kDecodedCellsMax = 4096;
 
   struct Column {
-    const AttrValueId* base = nullptr;
-    std::size_t entity_stride = 0;
-    std::size_t time_stride = 0;
+    const AttrValueId* const* at_time = nullptr;  // code of n at t: at_time[t][n]
     std::size_t radix = 0;  // the packer's radix of the attribute
   };
 
   AttrValueId Code(std::size_t i, NodeId n, TimeId t) const {
-    const Column& column = columns_[i];
-    return column.base[n * column.entity_stride + t * column.time_stride];
+    return columns_[i].at_time[t][n];
   }
   std::uint32_t Pack(NodeId n, TimeId t) const {
     std::size_t packed = DensePacker::Digit(Code(0, n, t));
@@ -226,6 +230,9 @@ class NodeCodes {
 
   std::array<Column, AttrTuple::kMaxAttrs> columns_;
   std::size_t num_attrs_ = 0;
+  // Per attribute, one code array per time point of the domain: the
+  // time-varying column's own arrays, or the static column repeated.
+  std::vector<const AttrValueId*> bases_;
   const std::optional<DensePacker> packer_;
   const NodeTimeFilter* const filter_;
   const bool per_appearance_;  // packed codes computed by At(n, t)

@@ -79,9 +79,11 @@ class TemporalGraph {
   /// returns its id — the streaming entry point of an interactive deployment:
   /// ingest the new snapshot's edges, then analyze across the grown domain.
   /// IntervalSets created before the append refer to the old, smaller domain
-  /// and must be rebuilt (operators GT_CHECK the domain size). Amortized
-  /// O(|V| + |E|) per append (presence re-layout at word boundaries,
-  /// time-varying column re-layout always).
+  /// and must be rebuilt (operators GT_CHECK the domain size). Costs
+  /// O(|V| + |E|) per append for the new presence-index columns and one new
+  /// code array per time-varying attribute. Every 64th append also re-lays
+  /// out the row-major presence matrices, O((|V| + |E|) · times / 64), so
+  /// that share grows with the history.
   TimeId AppendTimePoint(std::string_view label);
 
   // --- Construction ----------------------------------------------------------

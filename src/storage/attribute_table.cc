@@ -41,43 +41,44 @@ bool StaticColumn::Restore(std::vector<std::string> dict_values,
   return true;
 }
 
-bool TimeVaryingColumn::Restore(std::vector<std::string> dict_values,
-                                std::vector<AttrValueId> codes) {
-  if (num_times_ == 0 ? !codes.empty() : codes.size() % num_times_ != 0) return false;
-  if (!CodesInRange(codes, dict_values.size())) return false;
+bool TimeVaryingColumn::Restore(std::vector<std::string> dict_values, std::size_t entities,
+                                std::vector<std::vector<AttrValueId>> by_time) {
+  if (by_time.size() != by_time_.size()) return false;
+  for (const std::vector<AttrValueId>& codes : by_time) {
+    if (codes.size() != entities || !CodesInRange(codes, dict_values.size())) return false;
+  }
   Dictionary dict;
   if (!dict.Restore(std::move(dict_values))) return false;
   dict_ = std::move(dict);
-  codes_ = std::move(codes);
+  entities_ = entities;
+  by_time_ = std::move(by_time);
   return true;
 }
 
-void TimeVaryingColumn::AppendTimes(std::size_t count) {
-  std::size_t entities = size();
-  std::size_t new_times = num_times_ + count;
-  std::vector<AttrValueId> new_codes(entities * new_times, kNoValue);
-  for (std::size_t entity = 0; entity < entities; ++entity) {
-    for (std::size_t t = 0; t < num_times_; ++t) {
-      new_codes[entity * new_times + t] = codes_[entity * num_times_ + t];
-    }
-  }
-  codes_ = std::move(new_codes);
-  num_times_ = new_times;
+void TimeVaryingColumn::Resize(std::size_t count) {
+  entities_ = count;
+  for (std::vector<AttrValueId>& codes : by_time_) codes.resize(count, kNoValue);
 }
 
-std::size_t TimeVaryingColumn::CellIndex(std::size_t entity, std::size_t t) const {
-  GT_CHECK_LT(t, num_times_) << "time out of range for attribute " << name_;
-  std::size_t index = entity * num_times_ + t;
-  GT_CHECK_LT(index, codes_.size()) << "entity out of range for attribute " << name_;
-  return index;
+void TimeVaryingColumn::AppendTimes(std::size_t count) {
+  by_time_.resize(by_time_.size() + count, std::vector<AttrValueId>(entities_, kNoValue));
+}
+
+const std::vector<AttrValueId>& TimeVaryingColumn::CodesAt(std::size_t t) const {
+  GT_CHECK_LT(t, by_time_.size()) << "time out of range for attribute " << name_;
+  return by_time_[t];
 }
 
 void TimeVaryingColumn::Set(std::size_t entity, std::size_t t, std::string_view value) {
-  codes_[CellIndex(entity, t)] = dict_.GetOrAdd(value);
+  GT_CHECK_LT(t, by_time_.size()) << "time out of range for attribute " << name_;
+  GT_CHECK_LT(entity, entities_) << "entity out of range for attribute " << name_;
+  by_time_[t][entity] = dict_.GetOrAdd(value);
 }
 
 AttrValueId TimeVaryingColumn::CodeAt(std::size_t entity, std::size_t t) const {
-  return codes_[CellIndex(entity, t)];
+  const std::vector<AttrValueId>& codes = CodesAt(t);
+  GT_CHECK_LT(entity, entities_) << "entity out of range for attribute " << name_;
+  return codes[entity];
 }
 
 const std::string& TimeVaryingColumn::ValueAt(std::size_t entity, std::size_t t) const {

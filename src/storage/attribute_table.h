@@ -12,7 +12,7 @@
 /// and **A_i** (time-varying attributes) of the paper's Section 4.
 ///
 /// Both columns are dictionary-encoded. A `StaticColumn` holds one code per
-/// entity; a `TimeVaryingColumn` holds an entity × time matrix of codes with
+/// entity; a `TimeVaryingColumn` holds one such array per time point, with
 /// `kNoValue` marking (entity, time) cells where the attribute is undefined
 /// (normally: times at which the entity does not exist — the '-' cells of the
 /// paper's Table 2).
@@ -59,23 +59,29 @@ class StaticColumn {
 };
 
 /// A time-varying attribute column, e.g. "#publications per year".
+///
+/// Stored time-major, like the paper's labeled arrays A_i: one code array
+/// per time point, each with one cell per entity. Appending a time point
+/// pushes one array and leaves the others in place.
 class TimeVaryingColumn {
  public:
-  /// `num_times` is fixed at construction (the time domain of the graph).
+  /// `num_times` is the time domain of the graph at construction; it grows
+  /// only through AppendTimes.
   TimeVaryingColumn(std::string name, std::size_t num_times)
-      : name_(std::move(name)), num_times_(num_times) {}
+      : name_(std::move(name)), by_time_(num_times) {}
 
   const std::string& name() const { return name_; }
-  std::size_t num_times() const { return num_times_; }
+  std::size_t num_times() const { return by_time_.size(); }
 
-  /// Grows to `count` entities, new cells kNoValue at all times.
-  void Resize(std::size_t count) { codes_.resize(count * num_times_, kNoValue); }
+  /// Grows to `count` entities, new cells kNoValue at all times:
+  /// O(new cells) amortized.
+  void Resize(std::size_t count);
 
-  /// Appends `count` time points (new cells kNoValue for every entity).
-  /// Re-lays out the row-major matrix: O(entities · times).
+  /// Appends `count` time points (new cells kNoValue for every entity):
+  /// O(entities · count), independent of the existing time points.
   void AppendTimes(std::size_t count = 1);
 
-  std::size_t size() const { return num_times_ == 0 ? 0 : codes_.size() / num_times_; }
+  std::size_t size() const { return entities_; }
 
   /// Assigns `value` to `entity` at time `t`.
   void Set(std::size_t entity, std::size_t t, std::string_view value);
@@ -89,22 +95,23 @@ class TimeVaryingColumn {
   const Dictionary& dictionary() const { return dict_; }
   Dictionary& dictionary() { return dict_; }
 
-  /// Raw row-major entity × time code matrix (snapshot save).
-  const std::vector<AttrValueId>& codes() const { return codes_; }
+  /// The codes of every entity at time `t`, indexed by entity (kernels and
+  /// snapshot save).
+  const std::vector<AttrValueId>& CodesAt(std::size_t t) const;
 
-  /// Rebuilds the column from serialized dictionary values + the raw code
-  /// matrix (snapshot load). Returns false — leaving the column unchanged —
-  /// when the dictionary has duplicates, `codes` is not a whole number of
-  /// `num_times()` rows, or any code is out of range and not kNoValue.
-  bool Restore(std::vector<std::string> dict_values, std::vector<AttrValueId> codes);
+  /// Rebuilds the column from serialized dictionary values + one code array
+  /// per time point (snapshot load). Returns false — leaving the column
+  /// unchanged — when the dictionary has duplicates, `by_time` does not hold
+  /// `num_times()` arrays of `entities` codes each, or any code is out of
+  /// range and not kNoValue.
+  bool Restore(std::vector<std::string> dict_values, std::size_t entities,
+               std::vector<std::vector<AttrValueId>> by_time);
 
  private:
-  std::size_t CellIndex(std::size_t entity, std::size_t t) const;
-
   std::string name_;
-  std::size_t num_times_;
+  std::size_t entities_ = 0;
   Dictionary dict_;
-  std::vector<AttrValueId> codes_;  // row-major entity × time
+  std::vector<std::vector<AttrValueId>> by_time_;  // [t][entity]
 };
 
 }  // namespace graphtempo

@@ -23,7 +23,7 @@ std::size_t WordsFor(std::size_t bits) { return (bits + kWordBits - 1) / kWordBi
 
 DynamicBitset::DynamicBitset(std::size_t size) : size_(size), words_(WordsFor(size), 0) {}
 
-void DynamicBitset::Resize(std::size_t size) {
+void DynamicBitset::ResizeWords(std::size_t size) {
   words_.resize(WordsFor(size), 0);
   size_ = size;
   // Clear padding bits (relevant on shrink, harmless on growth).

@@ -31,8 +31,16 @@ class DynamicBitset {
   /// Grows or shrinks the set to `size` bits. Existing bits up to
   /// min(old, new) are preserved; new bits start at 0; padding bits of the
   /// last word are kept zero so Count()/comparisons stay exact. Amortized
-  /// O(1) for single-bit growth (vector growth is geometric).
-  void Resize(std::size_t size);
+  /// O(1) for single-bit growth (vector growth is geometric). Growth within
+  /// the last word is inline and only moves the size: the bits it exposes
+  /// are the zero padding, so growing many sets by one bit stays cheap.
+  void Resize(std::size_t size) {
+    if (size >= size_ && size <= words_.size() * 64) {
+      size_ = size;
+      return;
+    }
+    ResizeWords(size);
+  }
 
   /// Sets bit `index` to 1 (or to `value`).
   void Set(std::size_t index, bool value = true);
@@ -140,6 +148,8 @@ class DynamicBitset {
   std::size_t num_words() const { return words_.size(); }
 
  private:
+  void ResizeWords(std::size_t size);
+
   void CheckCompatible(const DynamicBitset& other) const {
     GT_CHECK_EQ(size_, other.size_) << "bitset size mismatch";
   }

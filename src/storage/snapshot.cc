@@ -115,7 +115,9 @@ bool ByteReader::WordsInto(std::size_t count, std::vector<std::uint64_t>* out) {
   const char* raw;
   if (!Take(count * sizeof(std::uint64_t), &raw)) return false;
   out->resize(count);
-  std::memcpy(out->data(), raw, count * sizeof(std::uint64_t));
+  // An empty vector's data() may be null, and memcpy from or to null is
+  // undefined even for zero bytes.
+  if (count != 0) std::memcpy(out->data(), raw, count * sizeof(std::uint64_t));
   return true;
 }
 

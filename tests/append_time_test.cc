@@ -5,11 +5,26 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "engine/cube.h"
+#include "core/evolution.h"
+#include "core/exploration.h"
+#include "core/graph_io.h"
 #include "core/materialization.h"
 #include "core/operators.h"
+#include "datagen/random.h"
+#include "reference_impl.h"
+#include "server/ingest.h"
 #include "storage/bit_matrix.h"
 #include "test_graphs.h"
+#include "util/check.h"
 
 namespace graphtempo {
 namespace {
@@ -113,7 +128,7 @@ TEST(AppendTimePointTest, NewSnapshotIsFullyUsable) {
   EXPECT_EQ(graph.NodesAt(3), 2u);
   EXPECT_EQ(graph.EdgesAt(3), 1u);
   EXPECT_EQ(graph.ValueName(pubs_ref, graph.ValueCodeAt(pubs_ref, u5, 3)), "2");
-  // Old cells of the re-laid-out column survive.
+  // Old cells of the grown column survive.
   EXPECT_EQ(graph.ValueName(pubs_ref, graph.ValueCodeAt(pubs_ref, u5, 2)), "3");
 
   // Operators across the grown domain.
@@ -132,6 +147,237 @@ TEST(AppendTimePointTest, OperatorsRejectStaleIntervals) {
 TEST(AppendTimePointDeath, DuplicateLabelAborts) {
   TemporalGraph graph = BuildPaperGraph();
   EXPECT_DEATH(graph.AppendTimePoint("t1"), "duplicate time label");
+}
+
+// --- Appended vs. bulk-loaded graphs ----------------------------------------------
+//
+// One small evolving graph, described once and built two ways: loaded from a
+// TSV of its first points and then grown point by point through the
+// changefeed (new time points, nodes first seen late, `va` values, a
+// dictionary that grows mid-stream), or loaded in one piece from a TSV of
+// every point, where no column ever grows in time. Both must hold the same
+// data and answer alike. Dictionary codes may differ between the two, so
+// answers are compared by value names.
+
+struct GrowthModel {
+  static constexpr std::size_t kTimes = 12;
+  static constexpr std::size_t kNodes = 30;
+  static constexpr std::size_t kEdges = 60;
+  std::vector<std::string> color;                     // per node
+  std::vector<std::vector<bool>> node_present;        // [node][t]
+  std::vector<std::vector<std::string>> level;        // [node][t], set where present
+  std::vector<std::pair<std::size_t, std::size_t>> edges;
+  std::vector<std::vector<bool>> edge_present;        // [edge][t]
+};
+
+GrowthModel MakeGrowthModel() {
+  datagen::Pcg32 rng(23);
+  GrowthModel m;
+  m.node_present.assign(GrowthModel::kNodes, std::vector<bool>(GrowthModel::kTimes));
+  for (std::size_t n = 0; n < GrowthModel::kNodes; ++n) {
+    m.color.push_back("c" + std::to_string(rng.NextBelow(3)));
+    for (std::size_t t = 0; t < GrowthModel::kTimes; ++t) {
+      m.node_present[n][t] = rng.NextBool(0.4);
+    }
+  }
+  while (m.edges.size() < GrowthModel::kEdges) {
+    const std::size_t src = rng.NextBelow(GrowthModel::kNodes);
+    const std::size_t dst = rng.NextBelow(GrowthModel::kNodes);
+    if (src == dst || std::find(m.edges.begin(), m.edges.end(),
+                                std::make_pair(src, dst)) != m.edges.end()) {
+      continue;
+    }
+    m.edges.emplace_back(src, dst);
+    std::vector<bool>& present = m.edge_present.emplace_back(GrowthModel::kTimes);
+    for (std::size_t t = 0; t < GrowthModel::kTimes; ++t) {
+      present[t] = rng.NextBool(0.3);
+      if (present[t]) m.node_present[src][t] = m.node_present[dst][t] = true;
+    }
+  }
+  m.level.assign(GrowthModel::kNodes, std::vector<std::string>(GrowthModel::kTimes));
+  for (std::size_t n = 0; n < GrowthModel::kNodes; ++n) {
+    for (std::size_t t = 0; t < GrowthModel::kTimes; ++t) {
+      // Later points draw from a wider domain: the dictionary grows.
+      if (m.node_present[n][t]) {
+        m.level[n][t] = "l" + std::to_string(rng.NextBelow(t < 3 ? 3 : 6));
+      }
+    }
+  }
+  return m;
+}
+
+std::string TimeLabel(std::size_t t) { return "p" + std::to_string(t); }
+std::string NodeLabel(std::size_t n) { return "v" + std::to_string(n); }
+
+/// The model's first `points` time points as a graph TSV (core/graph_io.h).
+std::string GrowthTsv(const GrowthModel& m, std::size_t points) {
+  auto presence = [&](const std::vector<bool>& present) {
+    std::string bits;
+    for (std::size_t t = 0; t < points; ++t) bits += present[t] ? '1' : '0';
+    return bits;
+  };
+  std::string tsv = "!format\tgraphtempo\t1\n!section\ttimes\n";
+  for (std::size_t t = 0; t < points; ++t) tsv += TimeLabel(t) + "\n";
+  tsv += "!section\tnodes\n";
+  for (std::size_t n = 0; n < GrowthModel::kNodes; ++n) {
+    tsv += NodeLabel(n) + "\t" + presence(m.node_present[n]) + "\n";
+  }
+  tsv += "!section\tedges\n";
+  for (std::size_t e = 0; e < m.edges.size(); ++e) {
+    tsv += NodeLabel(m.edges[e].first) + "\t" + NodeLabel(m.edges[e].second) + "\t" +
+           presence(m.edge_present[e]) + "\n";
+  }
+  tsv += "!section\tstatic\tcolor\n";
+  for (std::size_t n = 0; n < GrowthModel::kNodes; ++n) {
+    tsv += NodeLabel(n) + "\t" + m.color[n] + "\n";
+  }
+  tsv += "!section\tvarying\tlevel\n";
+  for (std::size_t n = 0; n < GrowthModel::kNodes; ++n) {
+    for (std::size_t t = 0; t < points; ++t) {
+      if (m.level[n][t].empty()) continue;
+      tsv += NodeLabel(n) + "\t" + TimeLabel(t) + "\t" + m.level[n][t] + "\n";
+    }
+  }
+  return tsv;
+}
+
+/// The changefeed that grows the model from `first` points to all of them.
+std::string GrowthFeed(const GrowthModel& m, std::size_t first) {
+  std::string feed;
+  for (std::size_t t = first; t < GrowthModel::kTimes; ++t) {
+    const std::string label = TimeLabel(t);
+    feed += "t " + label + "\n";
+    for (std::size_t n = 0; n < GrowthModel::kNodes; ++n) {
+      if (m.node_present[n][t]) feed += "n " + NodeLabel(n) + " " + label + "\n";
+    }
+    for (std::size_t e = 0; e < m.edges.size(); ++e) {
+      if (!m.edge_present[e][t]) continue;
+      feed += "e " + NodeLabel(m.edges[e].first) + " " + NodeLabel(m.edges[e].second) +
+              " " + label + "\n";
+    }
+    for (std::size_t n = 0; n < GrowthModel::kNodes; ++n) {
+      if (!m.level[n][t].empty()) {
+        feed += "va level " + NodeLabel(n) + " " + label + " " + m.level[n][t] + "\n";
+      }
+    }
+  }
+  return feed;
+}
+
+TemporalGraph ReadTsv(const std::string& text) {
+  std::istringstream in(text);
+  std::string error;
+  std::optional<TemporalGraph> graph = ReadGraph(&in, &error);
+  GT_CHECK(graph.has_value()) << error;
+  return std::move(*graph);
+}
+
+std::string WriteTsv(const TemporalGraph& graph) {
+  std::ostringstream out;
+  WriteGraph(graph, &out);
+  return out.str();
+}
+
+/// Node and edge groups of an aggregate, keyed by value names.
+std::map<std::string, Weight> Named(const TemporalGraph& graph,
+                                    const std::vector<AttrRef>& attrs,
+                                    const AggregateGraph& aggregate) {
+  std::map<std::string, Weight> named;
+  for (const auto& [tuple, weight] : aggregate.nodes()) {
+    named["node " + FormatTuple(graph, attrs, tuple)] = weight;
+  }
+  for (const auto& [pair, weight] : aggregate.edges()) {
+    named["edge " + FormatTuple(graph, attrs, pair.src) + " -> " +
+          FormatTuple(graph, attrs, pair.dst)] = weight;
+  }
+  return named;
+}
+
+std::map<std::string, std::vector<Weight>> Named(const TemporalGraph& graph,
+                                                 const std::vector<AttrRef>& attrs,
+                                                 const EvolutionAggregate& aggregate) {
+  std::map<std::string, std::vector<Weight>> named;
+  auto weights = [](const EvolutionWeights& w) {
+    return std::vector<Weight>{w.stability, w.growth, w.shrinkage};
+  };
+  for (const auto& [tuple, w] : aggregate.nodes()) {
+    named["node " + FormatTuple(graph, attrs, tuple)] = weights(w);
+  }
+  for (const auto& [pair, w] : aggregate.edges()) {
+    named["edge " + FormatTuple(graph, attrs, pair.src) + " -> " +
+          FormatTuple(graph, attrs, pair.dst)] = weights(w);
+  }
+  return named;
+}
+
+TEST(AppendedGraphTest, AnswersMatchTsvLoadAndReference) {
+  const GrowthModel model = MakeGrowthModel();
+  TemporalGraph appended = ReadTsv(GrowthTsv(model, 3));
+  std::string error;
+  const std::optional<std::vector<server::IngestRecord>> records =
+      server::ParseIngestBatch(GrowthFeed(model, 3), &error);
+  ASSERT_TRUE(records.has_value()) << error;
+  for (const server::IngestRecord& record : *records) {
+    ASSERT_TRUE(server::ApplyIngestRecord(&appended, record, &error)) << error;
+  }
+  const TemporalGraph loaded = ReadTsv(GrowthTsv(model, GrowthModel::kTimes));
+  ASSERT_EQ(appended.num_times(), GrowthModel::kTimes);
+  // Same labels, presence and values, cell by cell.
+  EXPECT_EQ(WriteTsv(appended), WriteTsv(loaded));
+
+  const std::size_t n = appended.num_times();
+  const std::vector<std::pair<IntervalSet, IntervalSet>> intervals = {
+      {IntervalSet::Range(n, 0, 2), IntervalSet::Range(n, 3, 11)},
+      {IntervalSet::Range(n, 2, 6), IntervalSet::Range(n, 5, 9)},
+      {IntervalSet::Point(n, 10), IntervalSet::Point(n, 11)},
+  };
+  for (const std::vector<std::string>& names :
+       std::vector<std::vector<std::string>>{{"level"}, {"color", "level"}}) {
+    const std::vector<AttrRef> attrs_a = ResolveAttributes(appended, names);
+    const std::vector<AttrRef> attrs_l = ResolveAttributes(loaded, names);
+    const std::string set = names.size() == 1 ? "{level}" : "{color, level}";
+    for (const auto& [t1, t2] : intervals) {
+      for (const auto semantics :
+           {AggregationSemantics::kDistinct, AggregationSemantics::kAll}) {
+        for (int op = 0; op < 3; ++op) {
+          auto view_of = [&](const TemporalGraph& g) {
+            return op == 0 ? UnionOp(g, t1, t2)
+                           : op == 1 ? IntersectionOp(g, t1, t2) : DifferenceOp(g, t1, t2);
+          };
+          const GraphView view_a = view_of(appended);
+          const AggregateGraph answer = Aggregate(appended, view_a, attrs_a, semantics);
+          EXPECT_EQ(answer, testing::RefAggregate(appended, view_a, attrs_a, semantics))
+              << set << " op " << op;
+          EXPECT_EQ(Named(appended, attrs_a, answer),
+                    Named(loaded, attrs_l,
+                          Aggregate(loaded, view_of(loaded), attrs_l, semantics)))
+              << set << " op " << op;
+        }
+      }
+      const EvolutionAggregate evolution = AggregateEvolution(appended, t1, t2, attrs_a);
+      EXPECT_EQ(Named(appended, attrs_a, evolution),
+                Named(appended, attrs_a,
+                      testing::RefAggregateEvolution(appended, t1, t2, attrs_a)))
+          << set;
+      EXPECT_EQ(Named(appended, attrs_a, evolution),
+                Named(loaded, attrs_l, AggregateEvolution(loaded, t1, t2, attrs_l)))
+          << set;
+    }
+    for (const auto kind : {EntitySelector::Kind::kNodes, EntitySelector::Kind::kEdges}) {
+      for (const auto event : {EventType::kStability, EventType::kGrowth}) {
+        ExplorationSpec spec;
+        spec.event = event;
+        spec.selector.kind = kind;
+        spec.k = 2;
+        spec.selector.attrs = attrs_a;
+        const ExplorationResult from_appended = Explore(appended, spec);
+        spec.selector.attrs = attrs_l;
+        const ExplorationResult from_loaded = Explore(loaded, spec);
+        EXPECT_EQ(from_appended.pairs, from_loaded.pairs) << set;
+        EXPECT_EQ(from_appended.evaluations, from_loaded.evaluations) << set;
+      }
+    }
+  }
 }
 
 // --- Incremental materialization maintenance ---------------------------------------

@@ -204,6 +204,10 @@ TEST(EngineConcurrencyTest, ReadersVersusInDomainWriter) {
                             IntervalSet::Of(n, {1, 2}), IntervalSet(n), attrs,
                             AggregationSemantics::kAll));
 
+  // Cache every spec before the threads start: otherwise a writer that
+  // finishes before any reader stores an answer leaves nothing to retire.
+  for (const QuerySpec& spec : corpus) engine.Execute(spec);
+
   constexpr std::size_t kReaders = 4;
   constexpr std::size_t kIterations = 40;
   constexpr std::size_t kMutations = 12;
