@@ -229,6 +229,36 @@ void BM_ExploreNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_ExploreNaive);
 
+// A {publications} stability U-Explore: the selector's codes change per time
+// point, so every candidate walks the event entities' appearances.
+void RunExploreTimeVarying(benchmark::State& state, gt::EntitySelector::Kind kind) {
+  const gt::TemporalGraph& graph = gt::bench::DblpGraph();
+  gt::ExplorationSpec spec;
+  spec.event = gt::EventType::kStability;
+  spec.semantics = gt::ExtensionSemantics::kUnion;
+  spec.reference = gt::ReferenceEnd::kNew;
+  spec.selector.kind = kind;
+  spec.selector.attrs = gt::ResolveAttributes(graph, {"publications"});
+  spec.k = 400;
+  std::size_t evaluations = 0;
+  for (auto _ : state) {
+    gt::ExplorationResult result = gt::Explore(graph, spec);
+    evaluations = result.evaluations;
+    benchmark::DoNotOptimize(result.pairs.size());
+  }
+  state.counters["evaluations"] = static_cast<double>(evaluations);
+}
+
+void BM_ExploreTimeVaryingNodes(benchmark::State& state) {
+  RunExploreTimeVarying(state, gt::EntitySelector::Kind::kNodes);
+}
+BENCHMARK(BM_ExploreTimeVaryingNodes);
+
+void BM_ExploreTimeVaryingEdges(benchmark::State& state) {
+  RunExploreTimeVarying(state, gt::EntitySelector::Kind::kEdges);
+}
+BENCHMARK(BM_ExploreTimeVaryingEdges);
+
 
 // --- Cube query vs direct aggregation -----------------------------------------------
 

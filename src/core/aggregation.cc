@@ -1,7 +1,6 @@
 #include "core/aggregation.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -69,20 +68,10 @@ std::vector<GroupWeights<Weight>> ScanSide(const char* span_name,
     std::vector<std::uint64_t> seen;
     for (std::size_t i = begin; i < end; ++i) {
       const Entity entity = entities[i];
-      const std::uint64_t* row = presence.row_words(entity);
-      seen.clear();
-      for (std::size_t w = 0; w < words; ++w) {
-        for (std::uint64_t bits = row[w] & mask[w]; bits != 0; bits &= bits - 1) {
-          const std::optional<std::uint64_t> code =
-              code_at(entity, static_cast<TimeId>(w * 64 + std::countr_zero(bits)));
-          if (!code.has_value()) continue;
-          if (distinct) {
-            if (std::find(seen.begin(), seen.end(), *code) != seen.end()) continue;
-            seen.push_back(*code);
-          }
-          ++cell(*code);
-        }
-      }
+      internal_grouping::ForEachAppearanceCode(
+          presence.row_words(entity), mask, words, distinct ? &seen : nullptr,
+          [&](TimeId t) { return code_at(entity, t); },
+          [&](std::uint64_t code) { ++cell(code); });
     }
   };
   return internal_grouping::ScanChunks<Weight>(

@@ -3,8 +3,12 @@
 #include "core/exploration_internal.h"
 
 #include <algorithm>
+#include <bit>
+#include <span>
+#include <utility>
+#include <vector>
 
-#include "core/operators.h"
+#include "accel/backend.h"
 #include "core/stats.h"
 #include "obs/trace.h"
 #include "storage/bitset.h"
@@ -12,300 +16,234 @@
 
 namespace graphtempo {
 
-namespace {
-
-/// Membership of every entity in a side of a candidate pair: union semantics —
-/// present at ≥1 point of the side; intersection semantics — present at all
-/// points. For a single-point side the two coincide. Answered by the
-/// column-major presence index: an OR/AND fold over the side's columns,
-/// served from the sparse-table interval index for contiguous sides.
-DynamicBitset SideMembers(const PresenceIndex& index, const IntervalSet& side,
-                          ExtensionSemantics semantics) {
-  return semantics == ExtensionSemantics::kUnion ? index.UnionOver(side.bits())
-                                                 : index.IntersectionOver(side.bits());
-}
-
-}  // namespace
-
 namespace internal_exploration {
 
-/// Builds the event graph between the two sides as a GraphView, composing the
-/// operator definitions of Section 2 with side-level union/intersection
-/// semantics of Section 3.1:
-///   stability — entity in old side AND in new side, defined on O ∪ N;
-///   growth    — entity in new side and NOT in old side, defined on N;
-///   shrinkage — entity in old side and NOT in new side, defined on O.
-/// Difference events keep Def 2.5's node rule: a node that survives still
-/// joins the event graph when it is the endpoint of a difference edge.
-/// Assembles the event view once the side memberships are known.
-GraphView BuildEventViewFromSides(const TemporalGraph& graph,
-                                  const DynamicBitset& nodes_old,
-                                  const DynamicBitset& nodes_new,
-                                  const DynamicBitset& edges_old,
-                                  const DynamicBitset& edges_new,
-                                  const IntervalSet& old_side,
-                                  const IntervalSet& new_side, EventType event) {
-  const std::size_t num_nodes = graph.num_nodes();
-  GraphView view;
+namespace {
+
+/// A side's members under `semantics`: the presence column itself for a
+/// one-point side (the reference side always is one), otherwise a fold off
+/// the interval index into `fold` — two sparse-table lookups, whatever the
+/// side length.
+const DynamicBitset& SideMembers(const PresenceIndex& index, TimeRange range,
+                                 ExtensionSemantics semantics, DynamicBitset& fold) {
+  if (range.length() == 1) return index.Column(range.first);
+  GT_SPAN("explore/side_fold", {{"len", range.length()}});
+  fold = semantics == ExtensionSemantics::kUnion
+             ? index.UnionRange(range.first, range.last)
+             : index.IntersectRange(range.first, range.last);
+  return fold;
+}
+
+/// The event's members given both sides': stability is old ∧ new, growth
+/// new − old and shrinkage old − new.
+DynamicBitset CombineSides(const DynamicBitset& old_side, const DynamicBitset& new_side,
+                           EventType event) {
   switch (event) {
-    case EventType::kStability: {
-      view.times = old_side | new_side;
-      DynamicBitset nodes = nodes_old & nodes_new;
-      DynamicBitset edges = edges_old & edges_new;
-      nodes.ForEachSetBit([&](std::size_t n) { view.nodes.push_back(static_cast<NodeId>(n)); });
-      edges.ForEachSetBit([&](std::size_t e) { view.edges.push_back(static_cast<EdgeId>(e)); });
-      return view;
-    }
-    case EventType::kGrowth: {
-      view.times = new_side;
-      DynamicBitset edges = edges_new - edges_old;
-      DynamicBitset endpoint(num_nodes);
-      edges.ForEachSetBit([&](std::size_t e) {
-        view.edges.push_back(static_cast<EdgeId>(e));
-        auto [src, dst] = graph.edge(static_cast<EdgeId>(e));
-        endpoint.Set(src);
-        endpoint.Set(dst);
-      });
-      DynamicBitset nodes = nodes_new & ((nodes_new - nodes_old) | endpoint);
-      nodes.ForEachSetBit([&](std::size_t n) { view.nodes.push_back(static_cast<NodeId>(n)); });
-      return view;
-    }
-    case EventType::kShrinkage: {
-      view.times = old_side;
-      DynamicBitset edges = edges_old - edges_new;
-      DynamicBitset endpoint(num_nodes);
-      edges.ForEachSetBit([&](std::size_t e) {
-        view.edges.push_back(static_cast<EdgeId>(e));
-        auto [src, dst] = graph.edge(static_cast<EdgeId>(e));
-        endpoint.Set(src);
-        endpoint.Set(dst);
-      });
-      DynamicBitset nodes = nodes_old & ((nodes_old - nodes_new) | endpoint);
-      nodes.ForEachSetBit([&](std::size_t n) { view.nodes.push_back(static_cast<NodeId>(n)); });
-      return view;
-    }
+    case EventType::kStability:
+      return old_side & new_side;
+    case EventType::kGrowth:
+      return new_side - old_side;
+    case EventType::kShrinkage:
+      return old_side - new_side;
   }
   GT_CHECK(false) << "invalid event type";
   __builtin_unreachable();
 }
 
-GraphView BuildEventView(const TemporalGraph& graph, const IntervalSet& old_side,
-                         const IntervalSet& new_side, ExtensionSemantics semantics,
-                         EventType event) {
-  DynamicBitset nodes_old =
-      SideMembers(graph.node_presence_index(), old_side, semantics);
-  DynamicBitset nodes_new =
-      SideMembers(graph.node_presence_index(), new_side, semantics);
-  DynamicBitset edges_old =
-      SideMembers(graph.edge_presence_index(), old_side, semantics);
-  DynamicBitset edges_new =
-      SideMembers(graph.edge_presence_index(), new_side, semantics);
-  return BuildEventViewFromSides(graph, nodes_old, nodes_new, edges_old, edges_new,
-                                 old_side, new_side, event);
+/// Counts over the appearances of `entities` at `times` (rows of
+/// `presence`; `code_at(entity, t)` is an appearance's code). Per entity: a
+/// totals selector adds its distinct codes (DIST) or its appearances (ALL),
+/// so codes are read only for DIST entities with several appearances; a
+/// `target` adds 1 if the entity carries it at some appearance (DIST) or the
+/// number of appearances carrying it (ALL).
+template <typename CodeAt>
+Weight CountAppearances(const DynamicBitset& entities, const BitMatrix& presence,
+                        const DynamicBitset& times, bool distinct,
+                        std::optional<std::uint64_t> target, const CodeAt& code_at) {
+  GT_SPAN("explore/walk");
+  const std::uint64_t* mask = times.word_data();
+  const std::size_t words = presence.words_per_row();
+  std::vector<std::uint64_t> seen;
+  Weight total = 0;
+  entities.ForEachSetBit([&](std::size_t entity) {
+    const std::uint64_t* row = presence.row_words(entity);
+    auto entity_code_at = [&](TimeId t) { return code_at(entity, t); };
+    if (target.has_value()) {
+      Weight hits = 0;
+      internal_grouping::ForEachAppearanceCode(
+          row, mask, words, /*seen=*/nullptr, entity_code_at,
+          [&](std::uint64_t code) { hits += code == *target; });
+      total += distinct ? Weight{hits > 0} : hits;
+      return;
+    }
+    Weight appearances = 0;
+    for (std::size_t w = 0; w < words; ++w) appearances += std::popcount(row[w] & mask[w]);
+    if (!distinct || appearances <= 1) {
+      total += appearances;
+      return;
+    }
+    internal_grouping::ForEachAppearanceCode(row, mask, words, &seen, entity_code_at,
+                                             [&](std::uint64_t) { ++total; });
+  });
+  return total;
 }
 
-SelectorCounter::SelectorCounter(const TemporalGraph& graph,
-                                 const EntitySelector& selector)
-    : graph_(graph), selector_(selector) {
-  if (selector.attrs.empty()) {
-    GT_CHECK(!selector.node_tuple && !selector.src_tuple && !selector.dst_tuple)
-        << "tuple filters require aggregation attributes";
-    fast_ = true;  // raw entity counts: match-all with no table
-    return;
-  }
-  bool all_static = std::all_of(
-      selector.attrs.begin(), selector.attrs.end(),
-      [](const AttrRef& ref) { return ref.kind == AttrRef::Kind::kStatic; });
-  if (!all_static || selector.semantics != AggregationSemantics::kDistinct) return;
-  fast_ = true;
-
-  auto static_tuple = [&](NodeId n) {
-    AttrTuple tuple;
-    for (const AttrRef& ref : selector.attrs) {
-      tuple.Append(graph.static_attribute(ref.index).CodeAt(n));
-    }
-    return tuple;
-  };
-  if (selector.kind == EntitySelector::Kind::kNodes) {
-    match_.resize(graph.num_nodes(), 1);
-    if (selector.node_tuple.has_value()) {
-      for (NodeId n = 0; n < graph.num_nodes(); ++n) {
-        match_[n] = static_tuple(n) == *selector.node_tuple;
-      }
-    }
-  } else {
-    if (selector.src_tuple.has_value() || selector.dst_tuple.has_value()) {
-      GT_CHECK(selector.src_tuple.has_value() && selector.dst_tuple.has_value())
-          << "edge tuple filter needs both src and dst tuples";
-    }
-    match_.resize(graph.num_edges(), 1);
-    if (selector.src_tuple.has_value()) {
-      for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-        auto [src, dst] = graph.edge(e);
-        match_[e] = static_tuple(src) == *selector.src_tuple &&
-                    static_tuple(dst) == *selector.dst_tuple;
-      }
-    }
-  }
-}
-
-Weight SelectorCounter::Count(const GraphView& view) const {
-  if (fast_) {
-    if (selector_.kind == EntitySelector::Kind::kNodes) {
-      if (match_.empty()) return static_cast<Weight>(view.NodeCount());
-      Weight total = 0;
-      for (NodeId n : view.nodes) total += match_[n];
-      return total;
-    }
-    if (match_.empty()) return static_cast<Weight>(view.EdgeCount());
-    Weight total = 0;
-    for (EdgeId e : view.edges) total += match_[e];
-    return total;
-  }
-
-  // General path: aggregate the event view under the selector.
-  AggregateGraph aggregate =
-      Aggregate(graph_, view, selector_.attrs, selector_.semantics);
-  if (selector_.kind == EntitySelector::Kind::kNodes) {
-    if (selector_.node_tuple.has_value()) {
-      return aggregate.NodeWeight(*selector_.node_tuple);
-    }
-    return aggregate.TotalNodeWeight();
-  }
-  if (selector_.src_tuple.has_value() || selector_.dst_tuple.has_value()) {
-    GT_CHECK(selector_.src_tuple.has_value() && selector_.dst_tuple.has_value())
-        << "edge tuple filter needs both src and dst tuples";
-    return aggregate.EdgeWeight(*selector_.src_tuple, *selector_.dst_tuple);
-  }
-  return aggregate.TotalEdgeWeight();
-}
+}  // namespace
 
 EventEngine::EventEngine(const TemporalGraph& graph, const EntitySelector& selector)
-    : graph_(graph), counter_(graph, selector) {
+    : graph_(graph),
+      nodes_(selector.kind == EntitySelector::Kind::kNodes),
+      distinct_(selector.semantics == AggregationSemantics::kDistinct) {
   // The per-time columns live in the graph's PresenceIndex (maintained
   // incrementally — no per-run transposition). Force the lazy sparse tables
   // now so the parallel reference scans never serialize on the guarded build.
   graph.node_presence_index().EnsureTables();
   graph.edge_presence_index().EnsureTables();
 
-  edge_bitset_path_ =
-      counter_.fast_path() && selector.kind == EntitySelector::Kind::kEdges;
-  if (edge_bitset_path_) {
-    edge_match_bits_ = DynamicBitset(graph.num_edges());
-    const std::vector<char>& table = counter_.match_table();
-    if (table.empty()) {
-      edge_match_bits_.SetAll();
+  if (selector.attrs.empty()) {
+    GT_CHECK(!selector.node_tuple && !selector.src_tuple && !selector.dst_tuple)
+        << "tuple filters require aggregation attributes";
+    return;  // raw entity counts: popcount(event)
+  }
+  if (!nodes_ && (selector.src_tuple.has_value() || selector.dst_tuple.has_value())) {
+    GT_CHECK(selector.src_tuple.has_value() && selector.dst_tuple.has_value())
+        << "edge tuple filter needs both src and dst tuples";
+  }
+  filtered_ = nodes_ ? selector.node_tuple.has_value() : selector.src_tuple.has_value();
+  walk_ = !distinct_ || !std::all_of(selector.attrs.begin(), selector.attrs.end(),
+                                     [](const AttrRef& ref) {
+                                       return ref.kind == AttrRef::Kind::kStatic;
+                                     });
+  // A static DIST totals selector counts every event entity once: no codes.
+  if (!walk_ && !filtered_) return;
+
+  // Per-appearance codes over every time point when walking; one code per
+  // node otherwise (static attributes).
+  std::vector<TimeId> times;
+  if (walk_) {
+    for (TimeId t = 0; t < graph.num_times(); ++t) times.push_back(t);
+  }
+  codes_.emplace(graph, selector.attrs, times, /*filter=*/nullptr, "explore/codes");
+  const std::uint64_t cells = codes_->cells();
+  if (filtered_) {
+    const std::optional<std::uint32_t> src =
+        codes_->CodeOf(nodes_ ? *selector.node_tuple : *selector.src_tuple);
+    const std::optional<std::uint32_t> dst =
+        nodes_ ? src : codes_->CodeOf(*selector.dst_tuple);
+    if (src.has_value() && dst.has_value()) target_ = nodes_ ? *src : *src * cells + *dst;
+  }
+  if (walk_) return;
+
+  // Static DIST tuple filter: the entities carrying the tuple, as a bitset.
+  match_ = DynamicBitset(nodes_ ? graph.num_nodes() : graph.num_edges());
+  if (target_.has_value()) {
+    if (nodes_) {
+      for (NodeId n = 0; n < graph.num_nodes(); ++n) {
+        if (codes_->At(n) == *target_) match_.Set(n);
+      }
     } else {
+      const std::span<const std::pair<NodeId, NodeId>> endpoints = graph.edge_endpoints();
       for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-        if (table[e]) edge_match_bits_.Set(e);
+        if (codes_->At(endpoints[e].first) * cells + codes_->At(endpoints[e].second) ==
+            *target_) {
+          match_.Set(e);
+        }
       }
     }
   }
+  codes_.reset();
 }
 
-namespace {
+DynamicBitset EventEngine::EventEntities(TimeRange old_range, TimeRange new_range,
+                                         ExtensionSemantics semantics,
+                                         EventType event) const {
+  const PresenceIndex& edge_index = graph_.edge_presence_index();
+  DynamicBitset old_fold, new_fold;
+  if (!nodes_) {
+    return CombineSides(SideMembers(edge_index, old_range, semantics, old_fold),
+                        SideMembers(edge_index, new_range, semantics, new_fold), event);
+  }
+  const PresenceIndex& node_index = graph_.node_presence_index();
+  const DynamicBitset& old_nodes = SideMembers(node_index, old_range, semantics, old_fold);
+  const DynamicBitset& new_nodes = SideMembers(node_index, new_range, semantics, new_fold);
+  DynamicBitset members = CombineSides(old_nodes, new_nodes, event);
+  if (event == EventType::kStability) return members;
 
-/// A side fold straight off the interval index: two sparse-table lookups,
-/// whatever the side length.
-DynamicBitset FoldSide(const PresenceIndex& index, TimeRange range,
-                       ExtensionSemantics semantics) {
-  GT_SPAN("explore/side_fold", {{"len", range.length()}});
-  return semantics == ExtensionSemantics::kUnion
-             ? index.UnionRange(range.first, range.last)
-             : index.IntersectRange(range.first, range.last);
+  // Def 2.5's node rule: a node on both sides (a survivor) still joins the
+  // event as the endpoint of a difference edge, so only growth and shrinkage
+  // node counts touch edges, to mark those endpoints; the walk over the
+  // difference edges stops once every survivor is marked.
+  DynamicBitset old_edge_fold, new_edge_fold;
+  const DynamicBitset edges =
+      CombineSides(SideMembers(edge_index, old_range, semantics, old_edge_fold),
+                   SideMembers(edge_index, new_range, semantics, new_edge_fold), event);
+  DynamicBitset survivors = old_nodes & new_nodes;
+  std::size_t unmarked = survivors.Count();
+  std::uint64_t* survivor_words = survivors.word_data();
+  std::uint64_t* member_words = members.word_data();
+  auto mark = [&](NodeId v) {
+    const std::uint64_t bit = std::uint64_t{1} << (v % 64);
+    if ((survivor_words[v / 64] & bit) == 0) return;
+    survivor_words[v / 64] &= ~bit;
+    member_words[v / 64] |= bit;
+    --unmarked;
+  };
+  const std::span<const std::pair<NodeId, NodeId>> endpoints = graph_.edge_endpoints();
+  const std::uint64_t* edge_words = edges.word_data();
+  for (std::size_t w = 0; w < edges.num_words() && unmarked > 0; ++w) {
+    for (std::uint64_t bits = edge_words[w]; bits != 0; bits &= bits - 1) {
+      const auto [src, dst] = endpoints[w * 64 + std::countr_zero(bits)];
+      mark(src);
+      mark(dst);
+    }
+  }
+  return members;
 }
-
-}  // namespace
 
 Weight EventEngine::Count(TimeRange old_range, TimeRange new_range,
                           ExtensionSemantics semantics, EventType event) const {
   GT_SPAN("explore/candidate",
           {{"old_len", old_range.length()}, {"new_len", new_range.length()}});
-  const PresenceIndex& edge_index = graph_.edge_presence_index();
-  DynamicBitset edges_old = FoldSide(edge_index, old_range, semantics);
-  DynamicBitset edges_new = FoldSide(edge_index, new_range, semantics);
-
-  if (edge_bitset_path_) {
-    DynamicBitset combined = [&] {
-      switch (event) {
-        case EventType::kStability:
-          return edges_old & edges_new;
-        case EventType::kGrowth:
-          return edges_new - edges_old;
-        case EventType::kShrinkage:
-          return edges_old - edges_new;
-      }
-      GT_CHECK(false) << "invalid event type";
-      __builtin_unreachable();
-    }();
-    combined &= edge_match_bits_;
-    return static_cast<Weight>(combined.Count());
+  const DynamicBitset members = EventEntities(old_range, new_range, semantics, event);
+  if (!walk_) {
+    if (!filtered_) return static_cast<Weight>(members.Count());
+    return static_cast<Weight>(accel::ActiveBackend().masked_popcount(
+        members.word_data(), match_.word_data(), members.num_words()));
   }
+  if (filtered_ && !target_.has_value()) return 0;
 
+  // The event's time set: every event entity appears in it at least once,
+  // so over one time point a totals count is the number of members.
   const std::size_t n = graph_.num_times();
-  const PresenceIndex& node_index = graph_.node_presence_index();
-  DynamicBitset nodes_old = FoldSide(node_index, old_range, semantics);
-  DynamicBitset nodes_new = FoldSide(node_index, new_range, semantics);
-  GraphView view = BuildEventViewFromSides(
-      graph_, nodes_old, nodes_new, edges_old, edges_new,
-      IntervalSet::Of(n, old_range), IntervalSet::Of(n, new_range), event);
-  return counter_.Count(view);
+  IntervalSet times =
+      IntervalSet::Of(n, event == EventType::kGrowth ? new_range : old_range);
+  if (event == EventType::kStability) times |= IntervalSet::Of(n, new_range);
+  if (!filtered_ && times.Count() == 1) return static_cast<Weight>(members.Count());
+
+  const internal_grouping::NodeCodes& codes = *codes_;
+  if (nodes_) {
+    return CountAppearances(members, graph_.node_presence(), times.bits(), distinct_,
+                            target_, [&](std::size_t node, TimeId t) -> std::uint64_t {
+                              return codes.At(static_cast<NodeId>(node), t);
+                            });
+  }
+  const std::uint64_t cells = codes.cells();
+  const std::span<const std::pair<NodeId, NodeId>> endpoints = graph_.edge_endpoints();
+  return CountAppearances(members, graph_.edge_presence(), times.bits(), distinct_, target_,
+                          [&](std::size_t edge, TimeId t) -> std::uint64_t {
+                            return codes.At(endpoints[edge].first, t) * cells +
+                                   codes.At(endpoints[edge].second, t);
+                          });
 }
 
 }  // namespace internal_exploration
-
-namespace {
-
-using internal_exploration::BuildEventView;
-using internal_exploration::SelectorCounter;
-
-
-/// One candidate pair through the aggregate path only (no match table).
-Weight CountSelectedGeneral(const TemporalGraph& graph, const GraphView& view,
-                            const EntitySelector& selector) {
-  if (selector.attrs.empty()) {
-    GT_CHECK(!selector.node_tuple && !selector.src_tuple && !selector.dst_tuple)
-        << "tuple filters require aggregation attributes";
-    return selector.kind == EntitySelector::Kind::kNodes
-               ? static_cast<Weight>(view.NodeCount())
-               : static_cast<Weight>(view.EdgeCount());
-  }
-  AggregateGraph aggregate = Aggregate(graph, view, selector.attrs, selector.semantics);
-  if (selector.kind == EntitySelector::Kind::kNodes) {
-    if (selector.node_tuple.has_value()) return aggregate.NodeWeight(*selector.node_tuple);
-    return aggregate.TotalNodeWeight();
-  }
-  if (selector.src_tuple.has_value() || selector.dst_tuple.has_value()) {
-    GT_CHECK(selector.src_tuple.has_value() && selector.dst_tuple.has_value())
-        << "edge tuple filter needs both src and dst tuples";
-    return aggregate.EdgeWeight(*selector.src_tuple, *selector.dst_tuple);
-  }
-  return aggregate.TotalEdgeWeight();
-}
-
-}  // namespace
 
 Weight CountEvents(const TemporalGraph& graph, TimeRange old_range, TimeRange new_range,
                    ExtensionSemantics semantics, EventType event,
                    const EntitySelector& selector) {
   GT_CHECK_LT(old_range.last, new_range.first) << "old interval must precede new interval";
-  const std::size_t n = graph.num_times();
-  IntervalSet old_side = IntervalSet::Of(n, old_range);
-  IntervalSet new_side = IntervalSet::Of(n, new_range);
-  GraphView view = BuildEventView(graph, old_side, new_side, semantics, event);
-  SelectorCounter counter(graph, selector);
-  return counter.Count(view);
-}
-
-Weight CountEventsGeneralPath(const TemporalGraph& graph, TimeRange old_range,
-                              TimeRange new_range, ExtensionSemantics semantics,
-                              EventType event, const EntitySelector& selector) {
-  GT_CHECK_LT(old_range.last, new_range.first) << "old interval must precede new interval";
-  const std::size_t n = graph.num_times();
-  IntervalSet old_side = IntervalSet::Of(n, old_range);
-  IntervalSet new_side = IntervalSet::Of(n, new_range);
-  GraphView view = BuildEventView(graph, old_side, new_side, semantics, event);
-  return CountSelectedGeneral(graph, view, selector);
+  return internal_exploration::EventEngine(graph, selector)
+      .Count(old_range, new_range, semantics, event);
 }
 
 bool IsMonotonicallyIncreasing(EventType event, ReferenceEnd reference,
@@ -349,9 +287,10 @@ ExplorationResult Explore(const TemporalGraph& graph, const ExplorationSpec& spe
             TimeRange{ref, ref}};
   };
 
-  // One engine for the whole run: the presence transposition, match table
-  // and (for edge selectors) match bitset are built once, and every candidate
-  // pair costs a handful of word-parallel set operations.
+  // One engine for the whole run: the selector's codes, target and match
+  // bitset are built once, and every candidate pair costs a few word-parallel
+  // set operations plus, for per-appearance selectors, one walk over the
+  // event's rows.
   internal_exploration::EventEngine engine(graph, spec.selector);
 
   const TimeId ref_begin = spec.reference == ReferenceEnd::kOld ? 0 : 1;
@@ -458,13 +397,14 @@ ThresholdSuggestion SuggestThreshold(const TemporalGraph& graph, EventType event
   GT_CHECK_GE(n, 2u) << "threshold suggestion needs at least two time points";
   // Consecutive pairs are independent; min/max are order-insensitive, so the
   // result is identical at any thread count.
+  const internal_exploration::EventEngine engine(graph, selector);
   std::vector<Weight> counts(n - 1);
   ParallelPartition partition(n - 1, /*min_per_chunk=*/1, /*alignment=*/1);
   partition.Run([&](std::size_t, std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       TimeId t = static_cast<TimeId>(i);
-      counts[i] = CountEvents(graph, TimeRange{t, t}, TimeRange{t + 1, t + 1},
-                              ExtensionSemantics::kUnion, event, selector);
+      counts[i] = engine.Count(TimeRange{t, t}, TimeRange{t + 1, t + 1},
+                               ExtensionSemantics::kUnion, event);
     }
   });
   ThresholdSuggestion suggestion;

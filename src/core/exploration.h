@@ -102,20 +102,13 @@ struct ExplorationResult {
 /// interpreting multi-point sides with `semantics`. This is `result(G)` of
 /// the paper for one candidate pair; exposed for tests and examples.
 ///
-/// Selectors over static attributes with DIST semantics take a fast path: a
-/// per-entity tuple-match table replaces the per-candidate hash aggregation
-/// (the explorers additionally hoist that table across all candidate pairs
-/// of a run). Other selectors aggregate per candidate.
+/// Counted in code space by the explorers' kernel (docs/KERNELS.md §10):
+/// raw and static DIST selectors are a popcount of the event bitset, other
+/// selectors one walk over the event entities' appearances. The explorers
+/// build that kernel once per run; this builds it per call.
 Weight CountEvents(const TemporalGraph& graph, TimeRange old_range, TimeRange new_range,
                    ExtensionSemantics semantics, EventType event,
                    const EntitySelector& selector);
-
-/// Reference implementation of CountEvents without the static-selector fast
-/// path: always builds the event aggregate. Used by tests to pin the fast
-/// path and by the ablation benchmark.
-Weight CountEventsGeneralPath(const TemporalGraph& graph, TimeRange old_range,
-                              TimeRange new_range, ExtensionSemantics semantics,
-                              EventType event, const EntitySelector& selector);
 
 /// Runs U-Explore (spec.semantics == kUnion) or I-Explore (kIntersection)
 /// over every admissible reference point.

@@ -1,79 +1,61 @@
 #ifndef GRAPHTEMPO_CORE_EXPLORATION_INTERNAL_H_
 #define GRAPHTEMPO_CORE_EXPLORATION_INTERNAL_H_
 
-#include <vector>
+#include <cstdint>
+#include <optional>
 
 #include "core/exploration.h"
+#include "core/grouping_internal.h"
 
 /// \file
-/// Internal machinery shared by the pruned explorer and the exhaustive
-/// baseline. Not part of the public API.
+/// Internal machinery shared by the explorers (pruned, exhaustive, both-ends)
+/// and the threshold suggestion. Not part of the public API.
 
 namespace graphtempo::internal_exploration {
 
-/// Evaluates `result(G)` for event views against one selector.
+/// The explorers' counting kernel: `result(G)` of many candidate pairs
+/// against one selector, counted in code space (docs/KERNELS.md §10). No
+/// event graph is materialized and nothing is aggregated.
 ///
-/// For selectors over static attributes with DIST semantics (the paper's
-/// Figs 13/14 shape: gender, f→f), the per-entity attribute tuple is
-/// constant, so the selector reduces to a precomputed per-entity match table
-/// and counting is a sum over the event view — no aggregation per candidate
-/// pair. One counter is built per exploration run and reused for every
-/// candidate. All other selectors fall back to aggregating the event view.
-class SelectorCounter {
- public:
-  /// `graph` and `selector` must outlive the counter.
-  SelectorCounter(const TemporalGraph& graph, const EntitySelector& selector);
-
-  /// Events in `view` under the selector.
-  Weight Count(const GraphView& view) const;
-
-  /// Whether the precomputed-match fast path is active (exposed for tests).
-  bool fast_path() const { return fast_; }
-
-  /// The per-entity match table (empty = match everything) and the selector;
-  /// used by EventEngine to lift edge counting into bitset space.
-  const std::vector<char>& match_table() const { return match_; }
-  const EntitySelector& selector() const { return selector_; }
-
- private:
-  const TemporalGraph& graph_;
-  const EntitySelector& selector_;
-  bool fast_ = false;
-  std::vector<char> match_;  // per node (kind kNodes) or per edge (kind kEdges)
-};
-
-/// Builds the event graph between the two sides (see exploration.cc for the
-/// composition rules).
-GraphView BuildEventView(const TemporalGraph& graph, const IntervalSet& old_side,
-                         const IntervalSet& new_side, ExtensionSemantics semantics,
-                         EventType event);
-
-/// The explorers' hot path: evaluates event counts for many candidate pairs
-/// against one selector.
-///
-/// Sides are contiguous time ranges, so a side's membership is answered by
-/// the graph's column-major `PresenceIndex` (docs/KERNELS.md): two
-/// sparse-table lookups per side (OR folds for union semantics, AND folds
-/// for intersection), independent of side length — instead of the ≤|T|
-/// column operations of the previous cached-transposition engine, let alone
-/// per-entity row scans. The constructor forces the lazy tables so the
-/// parallel reference scans never serialize on the guarded build. For edge
-/// selectors on the `SelectorCounter` fast path the count collapses further
-/// to popcount(side-combination ∧ match-bitset) and no view is materialized.
+/// A candidate's event entities are a bitset of fold algebra over the
+/// graph's column-major `PresenceIndex`: two sparse-table lookups per
+/// multi-point side, the column itself for the one-point reference side.
+/// The count is then
+///   * popcount(event) for raw selectors and static DIST totals selectors,
+///     and popcount(event ∧ match) for static DIST tuple filters, with the
+///     match bitset built once per engine from packed codes;
+///   * otherwise one walk over each event entity's presence row under the
+///     event's time set, reading per-appearance codes from `NodeCodes`
+///     hoisted once per engine: distinct codes (DIST) or appearances (ALL)
+///     for a totals selector, the target code's presence (DIST) or its
+///     appearances (ALL) for a tuple filter.
+/// `Count` is const and allocates only locals, so one engine serves every
+/// pool chunk of a run.
 class EventEngine {
  public:
-  /// `graph` and `selector` must outlive the engine.
+  /// `graph` must outlive the engine.
   EventEngine(const TemporalGraph& graph, const EntitySelector& selector);
 
-  /// result(G) of the candidate pair (old_range, new_range).
+  /// result(G) of the candidate pair (old_range, new_range); the old range
+  /// must precede the new one.
   Weight Count(TimeRange old_range, TimeRange new_range, ExtensionSemantics semantics,
                EventType event) const;
 
  private:
+  /// The entities of the event between the two sides (fold algebra).
+  DynamicBitset EventEntities(TimeRange old_range, TimeRange new_range,
+                              ExtensionSemantics semantics, EventType event) const;
+
   const TemporalGraph& graph_;
-  SelectorCounter counter_;
-  bool edge_bitset_path_ = false;
-  DynamicBitset edge_match_bits_;
+  const bool nodes_;     // node selector; edge selector otherwise
+  const bool distinct_;  // DIST semantics; ALL otherwise
+  bool filtered_ = false;  // a tuple filter restricts the count
+  bool walk_ = false;      // counted per appearance: time-varying attributes or ALL
+  // The filter's code (edges: code(src) · cells + code(dst)); nullopt when
+  // no entity can carry the filtered tuple.
+  std::optional<std::uint64_t> target_;
+  std::optional<internal_grouping::NodeCodes> codes_;  // per appearance, when walking
+  DynamicBitset match_;  // static DIST filter: entities carrying the tuple
 };
 
 }  // namespace graphtempo::internal_exploration

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -16,10 +17,11 @@
 #include "util/parallel.h"
 
 /// \file
-/// Group-code machinery shared by Algorithm 2 (core/aggregation.cc) and the
-/// evolution aggregation (core/evolution.cc): tuple packing, per-node group
-/// codes, and per-chunk weight tables keyed by code. Not part of the public
-/// API.
+/// Group-code machinery shared by Algorithm 2 (core/aggregation.cc), the
+/// evolution aggregation (core/evolution.cc) and the exploration counting
+/// kernel (core/exploration.cc): tuple packing, per-node group codes, the
+/// per-entity appearance walk, and per-chunk weight tables keyed by code. Not
+/// part of the public API.
 
 namespace graphtempo::internal_grouping {
 
@@ -206,6 +208,25 @@ class NodeCodes {
     return tuples_.empty() ? packer_->Unpack(code) : tuples_[code];
   }
 
+  /// The code of `tuple`, or nullopt when no code stands for it: another
+  /// arity, a value outside an attribute's dictionary, or (numbered tuples)
+  /// a tuple no node carries at the constructor's time points.
+  std::optional<std::uint32_t> CodeOf(const AttrTuple& tuple) const {
+    if (tuple.size() != num_attrs_) return std::nullopt;
+    if (!packer_.has_value()) {
+      auto it = std::find(tuples_.begin(), tuples_.end(), tuple);
+      if (it == tuples_.end()) return std::nullopt;
+      return static_cast<std::uint32_t>(it - tuples_.begin());
+    }
+    std::size_t packed = 0;
+    for (std::size_t i = 0; i < num_attrs_; ++i) {
+      const std::size_t digit = DensePacker::Digit(tuple[i]);
+      if (digit >= columns_[i].radix) return std::nullopt;
+      packed = packed * columns_[i].radix + digit;
+    }
+    return static_cast<std::uint32_t>(packed);
+  }
+
  private:
   /// Packed domains up to this many cells decode every code once, up front,
   /// so emitting thousands of edge groups costs two loads per group.
@@ -244,6 +265,31 @@ class NodeCodes {
   std::size_t cells_ = 0;
   std::vector<AttrTuple> tuples_;  // code → tuple, when decoded up front
 };
+
+/// Calls `fn(code)` for the appearances of one entity: the set bits of its
+/// presence `row` under the time `mask` (`words` words each), read as
+/// `code_at(t)`, skipping those it hides (nullopt). With `seen` (DIST) only
+/// the entity's first appearance of each code calls `fn`, deduplicated in
+/// that scratch, which the caller reuses across entities; without it (ALL)
+/// every appearance does.
+template <typename CodeAt, typename Fn>
+void ForEachAppearanceCode(const std::uint64_t* row, const std::uint64_t* mask,
+                           std::size_t words, std::vector<std::uint64_t>* seen,
+                           const CodeAt& code_at, const Fn& fn) {
+  if (seen != nullptr) seen->clear();
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::uint64_t bits = row[w] & mask[w]; bits != 0; bits &= bits - 1) {
+      const std::optional<std::uint64_t> code =
+          code_at(static_cast<TimeId>(w * 64 + std::countr_zero(bits)));
+      if (!code.has_value()) continue;
+      if (seen != nullptr) {
+        if (std::find(seen->begin(), seen->end(), *code) != seen->end()) continue;
+        seen->push_back(*code);
+      }
+      fn(*code);
+    }
+  }
+}
 
 /// One chunk's weights `W` per group code: a flat array over every code
 /// when dense, a hash map on the code otherwise.

@@ -1,5 +1,6 @@
 #include "core/lattice.h"
 
+#include "core/exploration_internal.h"
 #include "util/check.h"
 
 namespace graphtempo {
@@ -93,10 +94,10 @@ ExplorationResult ExploreBothEnds(const TemporalGraph& graph,
     Weight count;
   };
   std::vector<Candidate> qualifying;
+  const internal_exploration::EventEngine engine(graph, spec.selector);
   for (const auto& pair : lattice.AdjacentPairs()) {
     ++result.evaluations;
-    Weight count = CountEvents(graph, pair.first, pair.second, spec.semantics,
-                               spec.event, spec.selector);
+    Weight count = engine.Count(pair.first, pair.second, spec.semantics, spec.event);
     if (count >= spec.k) qualifying.push_back(Candidate{pair, count});
   }
 

@@ -27,7 +27,8 @@
 /// paper's operators and aggregation, written for obviousness rather than
 /// speed: τ as std::set<TimeId>, set algebra spelled out, no bit tricks, no
 /// fast paths. The differential test suites (`reference_test.cc`,
-/// `aggregation_kernel_test.cc`, `evolution_kernel_test.cc`, `wire_test.cc`)
+/// `aggregation_kernel_test.cc`, `evolution_kernel_test.cc`,
+/// `exploration_kernel_test.cc`, `wire_test.cc`)
 /// check the optimized library against these on randomized graphs.
 ///
 /// The last section holds the reference response renderers: the query
@@ -314,6 +315,147 @@ inline EvolutionAggregate AggregateEvolutionComponents(const TemporalGraph& grap
     for (const auto& [pair, weight] : component.edges()) {
       RefAdd(result.MutableEdgeWeights(pair), event, weight);
     }
+  }
+  return result;
+}
+
+// --- Exploration (Section 3, Table 1) -----------------------------------------
+
+/// Whether an entity with lifespan `tau` belongs to a side: present at ≥1
+/// point of `side` (union semantics) or at every point (intersection).
+inline bool RefInSide(const std::set<TimeId>& tau, TimeRange side,
+                      ExtensionSemantics semantics) {
+  bool any = false;
+  bool all = true;
+  for (TimeId t = side.first; t <= side.last; ++t) {
+    const bool present = tau.count(t) != 0;
+    any = any || present;
+    all = all && present;
+  }
+  return semantics == ExtensionSemantics::kUnion ? any : all;
+}
+
+/// The event graph between two sides as a view, composing Section 2's
+/// operators with Section 3.1's side semantics: stability — in the old and
+/// the new side, defined on O ∪ N; growth — in the new side and not the old,
+/// defined on N; shrinkage — its mirror, defined on O. Growth and shrinkage
+/// keep Def 2.5's node rule: a surviving node joins as the endpoint of a
+/// difference edge.
+inline GraphView RefEventView(const TemporalGraph& graph, TimeRange old_range,
+                              TimeRange new_range, ExtensionSemantics semantics,
+                              EventType event) {
+  const std::size_t n = graph.num_times();
+  const IntervalSet old_side = IntervalSet::Of(n, old_range);
+  const IntervalSet new_side = IntervalSet::Of(n, new_range);
+  GraphView view;
+  view.times = event == EventType::kStability ? old_side | new_side
+               : event == EventType::kGrowth  ? new_side
+                                              : old_side;
+  auto member = [&](bool in_old, bool in_new) {
+    switch (event) {
+      case EventType::kStability:
+        return in_old && in_new;
+      case EventType::kGrowth:
+        return in_new && !in_old;
+      case EventType::kShrinkage:
+        return in_old && !in_new;
+    }
+    return false;
+  };
+  std::set<NodeId> difference_endpoints;
+  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+    const std::set<TimeId> tau = EdgeTau(graph, e);
+    if (!member(RefInSide(tau, old_range, semantics),
+                RefInSide(tau, new_range, semantics))) {
+      continue;
+    }
+    view.edges.push_back(e);
+    if (event == EventType::kStability) continue;
+    auto [src, dst] = graph.edge(e);
+    difference_endpoints.insert(src);
+    difference_endpoints.insert(dst);
+  }
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+    const std::set<TimeId> tau = NodeTau(graph, v);
+    const bool in_old = RefInSide(tau, old_range, semantics);
+    const bool in_new = RefInSide(tau, new_range, semantics);
+    const bool on_changing_side = event == EventType::kGrowth ? in_new : in_old;
+    if (member(in_old, in_new) ||
+        (event != EventType::kStability && on_changing_side &&
+         difference_endpoints.count(v) != 0)) {
+      view.nodes.push_back(v);
+    }
+  }
+  return view;
+}
+
+/// `result(G)` of one candidate pair by definition: the event view,
+/// aggregated with `RefAggregate` under the selector, read as one total or
+/// one group's weight. Raw selectors count the view's entities.
+inline Weight RefCountEvents(const TemporalGraph& graph, TimeRange old_range,
+                             TimeRange new_range, ExtensionSemantics semantics,
+                             EventType event, const EntitySelector& selector) {
+  const GraphView view = RefEventView(graph, old_range, new_range, semantics, event);
+  const bool nodes = selector.kind == EntitySelector::Kind::kNodes;
+  if (selector.attrs.empty()) {
+    return static_cast<Weight>(nodes ? view.nodes.size() : view.edges.size());
+  }
+  const AggregateGraph aggregate =
+      RefAggregate(graph, view, selector.attrs, selector.semantics);
+  if (nodes) {
+    return selector.node_tuple.has_value() ? aggregate.NodeWeight(*selector.node_tuple)
+                                           : aggregate.TotalNodeWeight();
+  }
+  return selector.src_tuple.has_value()
+             ? aggregate.EdgeWeight(*selector.src_tuple, *selector.dst_tuple)
+             : aggregate.TotalEdgeWeight();
+}
+
+/// U-/I-Explore over `num_times` time points with candidate counts from
+/// `count(old_range, new_range)`. `pruned` follows Table 1 the way `Explore`
+/// does (per reference: the first qualifying extension where the count
+/// grows, the shortest only where it shrinks; for maximal pairs the longest
+/// only where it grows, extension while it qualifies where it shrinks);
+/// otherwise every extension is evaluated, as `ExploreNaive` does, and the
+/// shortest (union) or longest (intersection) qualifying one is kept.
+template <typename CountFn>
+ExplorationResult RefExplore(std::size_t num_times, const ExplorationSpec& spec,
+                             bool pruned, const CountFn& count) {
+  const bool from_old = spec.reference == ReferenceEnd::kOld;
+  const bool minimal = spec.semantics == ExtensionSemantics::kUnion;
+  const bool increasing =
+      IsMonotonicallyIncreasing(spec.event, spec.reference, spec.semantics);
+  auto pair_at = [&](TimeId ref, std::size_t len) -> std::pair<TimeRange, TimeRange> {
+    if (from_old) {
+      return {TimeRange{ref, ref}, TimeRange{ref + 1, static_cast<TimeId>(ref + len)}};
+    }
+    return {TimeRange{static_cast<TimeId>(ref - len), static_cast<TimeId>(ref - 1)},
+            TimeRange{ref, ref}};
+  };
+  ExplorationResult result;
+  for (TimeId ref = from_old ? 0 : 1; ref < (from_old ? num_times - 1 : num_times); ++ref) {
+    const std::size_t max_len = from_old ? num_times - 1 - ref : ref;
+    std::vector<std::size_t> lengths;
+    if (!pruned || (minimal && increasing) || (!minimal && !increasing)) {
+      for (std::size_t len = 1; len <= max_len; ++len) lengths.push_back(len);
+    } else {
+      lengths.push_back(minimal ? 1 : max_len);
+    }
+    std::optional<IntervalPair> chosen;
+    for (std::size_t len : lengths) {
+      auto [old_range, new_range] = pair_at(ref, len);
+      ++result.evaluations;
+      const Weight weight = count(old_range, new_range);
+      if (weight < spec.k) {
+        if (pruned && !minimal) break;  // I-Explore: the first failure ends it
+        continue;
+      }
+      if (!minimal || !chosen.has_value()) {
+        chosen = IntervalPair{old_range, new_range, weight};
+      }
+      if (pruned && minimal) break;  // U-Explore: the first success ends it
+    }
+    if (chosen.has_value()) result.pairs.push_back(*chosen);
   }
   return result;
 }
