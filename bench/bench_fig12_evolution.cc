@@ -44,18 +44,15 @@ void Report(const gt::TemporalGraph& graph, gt::TimeId decade_first,
                             : 0.0);
     return std::string(buffer);
   };
-  for (const auto& [tuple, weights] : evolution.nodes()) {
+  evolution.ForEachNode([&](const gt::AttrTuple& tuple,
+                            const gt::EvolutionWeights& weights) {
     gt::Weight total = weights.stability + weights.growth + weights.shrinkage;
     table.PrintRow({"node " + graph.ValueName(gender, tuple[0]),
                     std::to_string(weights.stability), pct(weights.stability, total),
                     std::to_string(weights.growth), std::to_string(weights.shrinkage)});
-  }
+  });
   gt::EvolutionWeights edge_totals;
-  for (const auto& [pair, weights] : evolution.edges()) {
-    edge_totals.stability += weights.stability;
-    edge_totals.growth += weights.growth;
-    edge_totals.shrinkage += weights.shrinkage;
-  }
+  for (const auto& row : evolution.edges()) edge_totals += row.weight;
   gt::Weight edge_total =
       edge_totals.stability + edge_totals.growth + edge_totals.shrinkage;
   table.PrintRow({"edges all", std::to_string(edge_totals.stability),

@@ -3,6 +3,7 @@
 ///   * word-parallel presence predicates vs. the per-column naive scan;
 ///   * the static-attribute aggregation fast path vs. the general path;
 ///   * the monotonicity-pruned explorer vs. exhaustive enumeration;
+///   * answer emission, ranking and response writing, without HTTP;
 ///   * the cost of appending a time point as the history grows.
 
 #include <benchmark/benchmark.h>
@@ -14,6 +15,8 @@
 
 #include "bench_common.h"
 #include "engine/cube.h"
+#include "engine/result.h"
+#include "engine/wire.h"
 #include "core/naive_exploration.h"
 #include "core/materialization.h"
 #include "core/operators.h"
@@ -196,6 +199,45 @@ void BM_UnionAllFromCache(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UnionAllFromCache);
+
+// --- Answer emission, ranking and writing ---------------------------------------
+
+// The layer between the scans and the socket, without HTTP: Algorithm 2 on a
+// three-attribute union of the MovieLens stand-in (thousands of edge groups)
+// emits its answer, the answer is ranked, and the server's response body is
+// written from the ranking (arg 0); arg 1 does the same for the evolution
+// answer of those attributes between the two halves of the domain.
+void BM_AnswerEmitRankWrite(benchmark::State& state) {
+  const gt::TemporalGraph& graph = gt::bench::MovieLensGraph();
+  const std::size_t n = graph.num_times();
+  const bool evolution = state.range(0) == 1;
+  gt::engine::QuerySpec spec;
+  spec.kind =
+      evolution ? gt::engine::QueryKind::kEvolution : gt::engine::QueryKind::kAggregate;
+  spec.op = gt::engine::TemporalOperatorKind::kUnion;
+  spec.t1 = gt::IntervalSet::Range(n, 0, static_cast<gt::TimeId>(n / 2 - 1));
+  spec.t2 = gt::IntervalSet::Range(n, static_cast<gt::TimeId>(n / 2),
+                                   static_cast<gt::TimeId>(n - 1));
+  spec.attrs = gt::ResolveAttributes(graph, {"gender", "age", "occupation"});
+  gt::engine::QueryPlan plan;
+  plan.fingerprint = spec.Fingerprint();
+  gt::engine::QuerySpec operands = spec;
+  operands.kind = gt::engine::QueryKind::kAggregate;
+  const gt::GraphView view = gt::engine::BuildOperatorView(graph, operands);
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const gt::engine::QueryResult result =
+        evolution ? gt::engine::QueryResult(
+                        gt::AggregateEvolution(graph, spec.t1, spec.t2, spec.attrs))
+                  : gt::engine::QueryResult(gt::Aggregate(graph, view, spec.attrs));
+    const std::string body =
+        gt::engine::wire::QueryResultToJson(graph, spec, plan, result, 0);
+    bytes = body.size();
+    benchmark::DoNotOptimize(body.data());
+  }
+  state.counters["body_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_AnswerEmitRankWrite)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // --- Exploration pruning ablation ---------------------------------------------------------
 

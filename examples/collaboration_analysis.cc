@@ -68,9 +68,10 @@ int main() {
     std::printf("\nEvolution [%s..%s] -> %s, authors by gender:\n",
                 graph.time_label(decade_first).c_str(),
                 graph.time_label(decade_last).c_str(), graph.time_label(year).c_str());
-    for (const auto& [tuple, weights] : evolution.nodes()) {
+    evolution.ForEachNode([&](const gt::AttrTuple& tuple,
+                              const gt::EvolutionWeights& weights) {
       long long total = weights.stability + weights.growth + weights.shrinkage;
-      if (total == 0) continue;
+      if (total == 0) return;
       std::printf("  %s: stable %lld (%.0f%%)  new %lld  gone %lld\n",
                   graph.ValueName(gender, tuple[0]).c_str(),
                   static_cast<long long>(weights.stability),
@@ -78,13 +79,12 @@ int main() {
                       static_cast<double>(total),
                   static_cast<long long>(weights.growth),
                   static_cast<long long>(weights.shrinkage));
-    }
-    for (const auto& [pair, weights] : evolution.edges()) {
-      if (pair.src != female || pair.dst != female) continue;
+    });
+    const gt::EvolutionWeights ff = evolution.EdgeWeights(female, female);
+    if (!(ff == gt::EvolutionWeights{})) {
       std::printf("  f-f collaborations: stable %lld  new %lld  gone %lld\n",
-                  static_cast<long long>(weights.stability),
-                  static_cast<long long>(weights.growth),
-                  static_cast<long long>(weights.shrinkage));
+                  static_cast<long long>(ff.stability), static_cast<long long>(ff.growth),
+                  static_cast<long long>(ff.shrinkage));
     }
   };
   decade_report(0, 9, 10);    // the 2000s vs 2010

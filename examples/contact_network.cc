@@ -41,13 +41,14 @@ int main() {
       gt::Aggregate(graph, pre_view, grade, gt::AggregationSemantics::kAll);
   gt::Weight same_grade = 0;
   gt::Weight cross_grade = 0;
-  for (const auto& [pair, weight] : by_grade.edges()) {
-    if (pair.src == pair.dst) {
+  by_grade.ForEachEdge([&](const gt::AttrTuple& src, const gt::AttrTuple& dst,
+                           gt::Weight weight) {
+    if (src == dst) {
       same_grade += weight;
     } else {
       cross_grade += weight;
     }
-  }
+  });
   std::printf("Pre-closure contacts aggregated by grade:\n");
   std::printf("  same-grade contact appearances : %lld\n",
               static_cast<long long>(same_grade));
@@ -65,15 +66,16 @@ int main() {
   gt::Weight same_kept = 0;
   gt::Weight cross_gone = 0;
   gt::Weight cross_kept = 0;
-  for (const auto& [pair, weights] : evolution.edges()) {
-    if (pair.src == pair.dst) {
+  evolution.ForEachEdge([&](const gt::AttrTuple& src, const gt::AttrTuple& dst,
+                            const gt::EvolutionWeights& weights) {
+    if (src == dst) {
       same_gone += weights.shrinkage;
       same_kept += weights.stability;
     } else {
       cross_gone += weights.shrinkage;
       cross_kept += weights.stability;
     }
-  }
+  });
   auto pct = [](gt::Weight gone, gt::Weight kept) {
     return gone + kept == 0
                ? 0.0

@@ -65,17 +65,18 @@ gt::TemporalGraph BuildFigure1Graph() {
 void PrintAggregate(const gt::TemporalGraph& graph, std::span<const gt::AttrRef> attrs,
                     const gt::AggregateGraph& aggregate, const char* title) {
   std::printf("%s\n", title);
-  for (const auto& [tuple, weight] : aggregate.nodes()) {
+  aggregate.ForEachNode([&](const gt::AttrTuple& tuple, gt::Weight weight) {
     std::printf("  node (%s)  weight %lld\n",
                 gt::FormatTuple(graph, attrs, tuple).c_str(),
                 static_cast<long long>(weight));
-  }
-  for (const auto& [pair, weight] : aggregate.edges()) {
-    std::printf("  edge (%s) -> (%s)  weight %lld\n",
-                gt::FormatTuple(graph, attrs, pair.src).c_str(),
-                gt::FormatTuple(graph, attrs, pair.dst).c_str(),
-                static_cast<long long>(weight));
-  }
+  });
+  aggregate.ForEachEdge(
+      [&](const gt::AttrTuple& src, const gt::AttrTuple& dst, gt::Weight weight) {
+        std::printf("  edge (%s) -> (%s)  weight %lld\n",
+                    gt::FormatTuple(graph, attrs, src).c_str(),
+                    gt::FormatTuple(graph, attrs, dst).c_str(),
+                    static_cast<long long>(weight));
+      });
 }
 
 }  // namespace
@@ -115,13 +116,14 @@ int main() {
   // --- Evolution graph (Section 2.3, Fig 4) -------------------------------------
   gt::EvolutionAggregate evolution = gt::AggregateEvolution(graph, t0, t1, attrs);
   std::printf("\nEvolution t0 -> t1 (Fig 4b):\n");
-  for (const auto& [tuple, weights] : evolution.nodes()) {
+  evolution.ForEachNode([&](const gt::AttrTuple& tuple,
+                            const gt::EvolutionWeights& weights) {
     std::printf("  node (%s)  stability %lld  growth %lld  shrinkage %lld\n",
                 gt::FormatTuple(graph, attrs, tuple).c_str(),
                 static_cast<long long>(weights.stability),
                 static_cast<long long>(weights.growth),
                 static_cast<long long>(weights.shrinkage));
-  }
+  });
 
   // --- Exploration (Section 3) ---------------------------------------------------
   gt::EntitySelector ff_edges;

@@ -36,11 +36,11 @@ int main() {
   gt::AttrRef gender = attrs[0];
   auto print_gender_totals = [&](const gt::AggregateGraph& agg, const char* title) {
     std::printf("%s\n", title);
-    for (const auto& [tuple, weight] : agg.nodes()) {
+    agg.ForEachNode([&](const gt::AttrTuple& tuple, gt::Weight weight) {
       std::printf("  %s: %lld author-year appearances\n",
                   graph.ValueName(gender, tuple[0]).c_str(),
                   static_cast<long long>(weight));
-    }
+    });
   };
 
   watch.Start();
@@ -76,13 +76,14 @@ int main() {
                              static_cast<gt::TimeId>(coarse.num_times() - 1)),
       coarse_gender);
   std::printf("\nEvolution first period -> last period (authors by gender):\n");
-  for (const auto& [tuple, weights] : evolution.nodes()) {
+  evolution.ForEachNode([&](const gt::AttrTuple& tuple,
+                            const gt::EvolutionWeights& weights) {
     std::printf("  %s: stable %lld  new %lld  gone %lld\n",
                 coarse.ValueName(coarse_gender[0], tuple[0]).c_str(),
                 static_cast<long long>(weights.stability),
                 static_cast<long long>(weights.growth),
                 static_cast<long long>(weights.shrinkage));
-  }
+  });
 
   // --- 4. Streaming: a new year arrives ------------------------------------------
   std::printf("\nA new snapshot (2021) arrives...\n");

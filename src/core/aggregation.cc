@@ -80,26 +80,27 @@ std::vector<GroupWeights<Weight>> ScanSide(const char* span_name,
       dense, codes, scan_chunk);
 }
 
-/// Merges one side's chunk tables in ascending chunk order and calls
-/// `emit(code, weight)` for every group (ascending by code when dense).
-/// Returns the merge time in nanoseconds.
-template <typename Emit>
-std::uint64_t MergeSide(const char* span_name, std::vector<GroupWeights<Weight>>& parts,
-                        bool dense, const Emit& emit) {
+/// Merges one side's chunk tables in ascending chunk order and returns its
+/// groups as code-ordered rows. Adds the merge time in nanoseconds to
+/// `merge_nanos`.
+std::vector<GroupRow<Weight>> MergeSide(const char* span_name,
+                                        std::vector<GroupWeights<Weight>>& parts,
+                                        bool dense, std::uint64_t* merge_nanos) {
   GT_SPAN(span_name, {{"chunks", parts.size()}, {"dense", dense ? 1u : 0u}});
   Stopwatch merge_watch;
   merge_watch.Start();
-  internal_grouping::MergeChunks(parts).ForEach(emit);
+  std::vector<GroupRow<Weight>> rows = internal_grouping::MergeChunks(parts).Rows();
   internal_counters::AddGroupingPath(dense ? 1 : 0, dense ? 0 : 1);
-  return static_cast<std::uint64_t>(merge_watch.ElapsedMicros()) * 1000u;
+  *merge_nanos += static_cast<std::uint64_t>(merge_watch.ElapsedMicros()) * 1000u;
+  return rows;
 }
 
 /// Runs Algorithm 2 on group codes (NodeCodes, shared with the evolution
 /// aggregation): each side scans into per-chunk tables on the pool — flat
 /// arrays when ResolveGrouping says dense, hash maps on the code otherwise —
-/// merges them in ascending chunk order, and decodes each group to its
-/// tuple once, when it is emitted. The answer is the same at any thread
-/// count and under either grouping.
+/// merges them in ascending chunk order, and appends the groups to the
+/// answer's code-ordered rows, which decode through the codes' codec. The
+/// answer is the same at any thread count and under either grouping.
 ///
 /// Per-stage counters (rows scanned, chunks, merge time, dense/hash group
 /// sides) feed `GetExecCounters`.
@@ -124,7 +125,6 @@ AggregateGraph AggregateImpl(const TemporalGraph& graph, const GraphView& view,
   const std::uint64_t cells = codes.cells();
   const std::span<const std::pair<NodeId, NodeId>> endpoints = graph.edge_endpoints();
 
-  AggregateGraph result;
   std::vector<GroupWeights<Weight>> node_parts = ScanSide(
       "agg/nodes_scan", std::span<const NodeId>(view.nodes), graph.node_presence(),
       view.times, distinct, static_codes, grouping.dense_nodes, cells,
@@ -134,13 +134,14 @@ AggregateGraph AggregateImpl(const TemporalGraph& graph, const GraphView& view,
         if (code == NodeCodes::kHidden) return std::nullopt;
         return code;
       });
-  std::uint64_t merge_nanos = MergeSide(
-      "agg/nodes_merge", node_parts, grouping.dense_nodes,
-      [&](std::uint64_t code, Weight w) { result.AddNodeWeight(codes.Tuple(code), w); });
+  std::uint64_t merge_nanos = 0;
+  std::vector<GroupRow<Weight>> node_rows =
+      MergeSide("agg/nodes_merge", node_parts, grouping.dense_nodes, &merge_nanos);
 
   // Edge code: code(src) · cells + code(dst). A view without edges skips
   // the side: even an empty scan would zero a dense table of cells² weights.
   std::vector<GroupWeights<Weight>> edge_parts;
+  std::vector<GroupRow<Weight>> edge_rows;
   if (!view.edges.empty()) {
     edge_parts = ScanSide(
         "agg/edges_scan", std::span<const EdgeId>(view.edges), graph.edge_presence(),
@@ -154,49 +155,80 @@ AggregateGraph AggregateImpl(const TemporalGraph& graph, const GraphView& view,
           if (src == NodeCodes::kHidden || dst == NodeCodes::kHidden) return std::nullopt;
           return src * cells + dst;
         });
-    merge_nanos += MergeSide("agg/edges_merge", edge_parts, grouping.dense_edges,
-                             [&](std::uint64_t code, Weight w) {
-                               result.AddEdgeWeight(codes.Tuple(code / cells),
-                                                    codes.Tuple(code % cells), w);
-                             });
+    edge_rows =
+        MergeSide("agg/edges_merge", edge_parts, grouping.dense_edges, &merge_nanos);
   }
 
   internal_counters::AddAggregation(view.nodes.size() + view.edges.size(),
                                     node_parts.size() + edge_parts.size(), merge_nanos);
-  return result;
+  return AggregateGraph(codes.codec(), std::move(node_rows), std::move(edge_rows));
 }
 
 }  // namespace
 
-void AggregateGraph::AddNodeWeight(const AttrTuple& tuple, Weight weight) {
-  nodes_[tuple] += weight;
+std::optional<TupleCodec> TupleCodec::Packed(const TemporalGraph& graph,
+                                             std::span<const AttrRef> attrs,
+                                             std::uint64_t max_cells) {
+  std::vector<std::uint64_t> radices;
+  for (const AttrRef& ref : attrs) {
+    const Dictionary& dict = ref.kind == AttrRef::Kind::kStatic
+                                 ? graph.static_attribute(ref.index).dictionary()
+                                 : graph.time_varying_attribute(ref.index).dictionary();
+    radices.push_back(dict.size() + 1);  // +1: the kNoValue digit
+  }
+  return Packed(radices, max_cells);
 }
 
-void AggregateGraph::AddEdgeWeight(const AttrTuple& src, const AttrTuple& dst,
-                                   Weight weight) {
-  edges_[AttrTuplePair{src, dst}] += weight;
+std::optional<TupleCodec> TupleCodec::Packed(std::span<const std::uint64_t> radices,
+                                             std::uint64_t max_cells) {
+  GT_CHECK_LE(radices.size(), AttrTuple::kMaxAttrs) << "too many aggregation attributes";
+  TupleCodec codec;
+  for (std::uint64_t radix : radices) {
+    if (radix == 0 || codec.cells_ > max_cells / radix) return std::nullopt;
+    codec.cells_ *= radix;
+    codec.radices_[codec.arity_++] = radix;
+  }
+  return codec;
 }
 
-Weight AggregateGraph::NodeWeight(const AttrTuple& tuple) const {
-  auto it = nodes_.find(tuple);
-  return it == nodes_.end() ? 0 : it->second;
+TupleCodec TupleCodec::Numbered(std::vector<AttrTuple> tuples) {
+  std::sort(tuples.begin(), tuples.end());
+  tuples.erase(std::unique(tuples.begin(), tuples.end()), tuples.end());
+  TupleCodec codec;
+  codec.packed_ = false;
+  codec.arity_ = static_cast<std::uint8_t>(tuples.empty() ? 0 : tuples[0].size());
+  codec.cells_ = tuples.size();
+  codec.tuples_ = std::move(tuples);
+  return codec;
 }
 
-Weight AggregateGraph::EdgeWeight(const AttrTuple& src, const AttrTuple& dst) const {
-  auto it = edges_.find(AttrTuplePair{src, dst});
-  return it == edges_.end() ? 0 : it->second;
+AttrTuple TupleCodec::Decode(std::uint64_t code) const {
+  GT_DCHECK(code < cells_);
+  if (!packed_) return tuples_[code];
+  std::array<AttrValueId, AttrTuple::kMaxAttrs> values = {};
+  for (std::size_t i = arity_; i-- > 0;) {
+    const std::uint64_t digit = code % radices_[i];
+    code /= radices_[i];
+    values[i] = digit == radices_[i] - 1 ? kNoValue : static_cast<AttrValueId>(digit);
+  }
+  AttrTuple tuple;
+  for (std::size_t i = 0; i < arity_; ++i) tuple.Append(values[i]);
+  return tuple;
 }
 
-Weight AggregateGraph::TotalNodeWeight() const {
-  Weight total = 0;
-  for (const auto& [tuple, weight] : nodes_) total += weight;
-  return total;
-}
-
-Weight AggregateGraph::TotalEdgeWeight() const {
-  Weight total = 0;
-  for (const auto& [pair, weight] : edges_) total += weight;
-  return total;
+std::optional<std::uint64_t> TupleCodec::Encode(const AttrTuple& tuple) const {
+  if (tuple.size() != arity_) return std::nullopt;
+  if (!packed_) {
+    auto it = std::lower_bound(tuples_.begin(), tuples_.end(), tuple);
+    if (it == tuples_.end() || !(*it == tuple)) return std::nullopt;
+    return static_cast<std::uint64_t>(it - tuples_.begin());
+  }
+  std::uint64_t code = 0;
+  for (std::size_t i = 0; i < arity_; ++i) {
+    if (tuple[i] != kNoValue && tuple[i] >= radices_[i] - 1) return std::nullopt;
+    code = code * radices_[i] + Digit(tuple[i], radices_[i]);
+  }
+  return code;
 }
 
 AttrTuple TupleAt(const TemporalGraph& graph, std::span<const AttrRef> attrs, NodeId n,
@@ -225,40 +257,27 @@ GroupingResolution ResolveGrouping(const TemporalGraph& graph,
                                    GroupingStrategy requested) {
   GroupingResolution resolution;
   if (requested == GroupingStrategy::kHash) return resolution;
-  std::optional<internal_grouping::DensePacker> packer =
-      internal_grouping::DensePacker::Create(graph, attrs, kDenseNodeCellsMax);
+  const std::optional<TupleCodec> packer =
+      TupleCodec::Packed(graph, attrs, kDenseNodeCellsMax);
   resolution.dense_nodes = packer.has_value();
   resolution.dense_edges = resolution.dense_nodes &&
                            packer->cells() * packer->cells() <= kDenseEdgePairsMax;
   return resolution;
 }
 
-namespace {
-
-/// Canonical ordering of tuples by code sequence (size first).
-bool TupleLessThan(const AttrTuple& a, const AttrTuple& b) {
-  if (a.size() != b.size()) return a.size() < b.size();
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) return a[i] < b[i];
-  }
-  return false;
-}
-
-}  // namespace
-
 AggregateGraph SymmetrizeAggregate(const AggregateGraph& aggregate) {
-  AggregateGraph result;
-  for (const auto& [tuple, weight] : aggregate.nodes()) {
-    result.AddNodeWeight(tuple, weight);
+  // Code order is tuple order, so the canonical orientation is the lower
+  // code first.
+  const std::uint64_t cells = aggregate.codec().cells();
+  GroupWeights<Weight> edges =
+      internal_grouping::SumTable<Weight>(cells * cells, aggregate.EdgeCount());
+  for (const GroupRow<Weight>& row : aggregate.edges()) {
+    const std::uint64_t src = row.code / cells;
+    const std::uint64_t dst = row.code % cells;
+    edges[dst < src ? dst * cells + src : row.code] += row.weight;
   }
-  for (const auto& [pair, weight] : aggregate.edges()) {
-    if (TupleLessThan(pair.dst, pair.src)) {
-      result.AddEdgeWeight(pair.dst, pair.src, weight);
-    } else {
-      result.AddEdgeWeight(pair.src, pair.dst, weight);
-    }
-  }
-  return result;
+  std::vector<GroupRow<Weight>> nodes(aggregate.nodes().begin(), aggregate.nodes().end());
+  return AggregateGraph(aggregate.codec(), std::move(nodes), edges.Rows());
 }
 
 std::string FormatTuple(const TemporalGraph& graph, std::span<const AttrRef> attrs,

@@ -1,13 +1,15 @@
 #ifndef GRAPHTEMPO_CORE_AGGREGATION_H_
 #define GRAPHTEMPO_CORE_AGGREGATION_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
+#include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/operators.h"
@@ -36,7 +38,7 @@ namespace graphtempo {
 
 /// A tuple of dictionary-encoded attribute values (one per aggregation
 /// attribute, in the order the attributes were requested). Fixed capacity,
-/// value type, hashable — the key of every aggregate map.
+/// value type, hashable, ordered by its codes.
 class AttrTuple {
  public:
   static constexpr std::size_t kMaxAttrs = 8;
@@ -68,6 +70,14 @@ class AttrTuple {
       if (codes_[i] != other.codes_[i]) return false;
     }
     return true;
+  }
+
+  /// Codes ascending, position by position (kNoValue, the largest code,
+  /// last); a tuple orders before its extensions.
+  bool operator<(const AttrTuple& other) const {
+    return std::lexicographical_compare(codes_.begin(), codes_.begin() + size_,
+                                        other.codes_.begin(),
+                                        other.codes_.begin() + other.size_);
   }
 
   /// FNV-1a over the used codes.
@@ -105,46 +115,206 @@ struct AttrTuplePairHash {
   }
 };
 
+/// How the group codes of one answer stand for attribute tuples.
+///
+/// A *packed* codec reads a code as a mixed-radix number over the attribute
+/// dictionaries: radix i is the dictionary size + 1, and digit i is the
+/// value's code, or `radix - 1` for kNoValue. A *numbered* codec, for
+/// domains too wide to pack into 32 bits, numbers the distinct tuples of one
+/// answer in ascending order. Either way code order is tuple order (kNoValue
+/// last), so an answer sorts, ranks, sums and compares on codes alone.
+class TupleCodec {
+ public:
+  /// Arity 0: one code, the empty tuple.
+  TupleCodec() = default;
+
+  /// The packed codec of `attrs` over `graph`'s dictionaries; nullopt when
+  /// its cell count would exceed `max_cells`.
+  static std::optional<TupleCodec> Packed(const TemporalGraph& graph,
+                                          std::span<const AttrRef> attrs,
+                                          std::uint64_t max_cells);
+  /// A packed codec over explicit radices (each ≥ 1); nullopt when their
+  /// product would exceed `max_cells`.
+  static std::optional<TupleCodec> Packed(std::span<const std::uint64_t> radices,
+                                          std::uint64_t max_cells);
+  /// The numbered codec of `tuples`, all of one arity (sorted and
+  /// deduplicated here).
+  static TupleCodec Numbered(std::vector<AttrTuple> tuples);
+
+  /// Digit of `value` under radix `radix`.
+  static std::uint64_t Digit(AttrValueId value, std::uint64_t radix) {
+    return std::min<std::uint64_t>(value, radix - 1);
+  }
+
+  bool packed() const { return packed_; }
+  std::size_t arity() const { return arity_; }
+  /// Number of codes: every code is below it.
+  std::uint64_t cells() const { return cells_; }
+  /// Radix of attribute `i` (packed codecs).
+  std::uint64_t radix(std::size_t i) const { return radices_[i]; }
+  /// The tuples of a numbered codec, code order.
+  const std::vector<AttrTuple>& tuples() const { return tuples_; }
+
+  AttrTuple Decode(std::uint64_t code) const;
+
+  /// The code of `tuple`; nullopt for another arity, a value outside an
+  /// attribute's dictionary, or (numbered) a tuple the codec does not hold.
+  std::optional<std::uint64_t> Encode(const AttrTuple& tuple) const;
+
+  bool operator==(const TupleCodec&) const = default;
+
+ private:
+  bool packed_ = true;
+  std::uint8_t arity_ = 0;
+  std::uint64_t cells_ = 1;
+  std::array<std::uint64_t, AttrTuple::kMaxAttrs> radices_ = {};
+  std::vector<AttrTuple> tuples_;
+};
+
 /// COUNT weights. Signed so weight arithmetic (e.g. roll-up sums, deltas in
 /// tests) cannot underflow silently.
 using Weight = std::int64_t;
 
-/// The aggregated graph G'(V', E', W_V', W_E') of Definition 2.6: aggregate
-/// nodes keyed by attribute tuple, aggregate edges keyed by tuple pair, both
-/// carrying COUNT weights.
-class AggregateGraph {
+/// One group of an answer: its code and its weights.
+template <typename W>
+struct GroupRow {
+  std::uint64_t code = 0;
+  W weight{};
+
+  bool operator==(const GroupRow&) const = default;
+};
+
+/// An answer on group codes: one codec, and per side one array of
+/// (code, weights) rows in ascending code order — which is tuple order. An
+/// edge's code is `code(src) · cells + code(dst)`, so edge rows are in
+/// (src, dst) tuple order. Shared by AggregateGraph and EvolutionAggregate.
+template <typename W>
+class CodedGraph {
  public:
-  using NodeMap = std::unordered_map<AttrTuple, Weight, AttrTupleHash>;
-  using EdgeMap = std::unordered_map<AttrTuplePair, Weight, AttrTuplePairHash>;
+  using Row = GroupRow<W>;
 
-  /// Adds `weight` to the aggregate node `tuple` (inserting it at weight 0).
-  void AddNodeWeight(const AttrTuple& tuple, Weight weight);
+  CodedGraph() = default;
+  /// Rows must be well formed (see `WellFormed`).
+  CodedGraph(TupleCodec codec, std::vector<Row> nodes, std::vector<Row> edges)
+      : codec_(std::move(codec)), nodes_(std::move(nodes)), edges_(std::move(edges)) {
+    GT_DCHECK(WellFormed(codec_, nodes_, edges_));
+  }
 
-  /// Adds `weight` to the aggregate edge (src, dst).
-  void AddEdgeWeight(const AttrTuple& src, const AttrTuple& dst, Weight weight);
-
-  /// Weight of aggregate node `tuple`; 0 if the node is absent.
-  Weight NodeWeight(const AttrTuple& tuple) const;
-
-  /// Weight of aggregate edge (src, dst); 0 if absent.
-  Weight EdgeWeight(const AttrTuple& src, const AttrTuple& dst) const;
-
+  const TupleCodec& codec() const { return codec_; }
+  std::span<const Row> nodes() const { return nodes_; }
+  std::span<const Row> edges() const { return edges_; }
   std::size_t NodeCount() const { return nodes_.size(); }
   std::size_t EdgeCount() const { return edges_.size(); }
 
-  /// Sum of all node / edge weights.
-  Weight TotalNodeWeight() const;
-  Weight TotalEdgeWeight() const;
+  AttrTuple NodeTuple(std::uint64_t code) const { return codec_.Decode(code); }
+  AttrTuplePair EdgePair(std::uint64_t code) const {
+    return {codec_.Decode(code / codec_.cells()), codec_.Decode(code % codec_.cells())};
+  }
 
-  const NodeMap& nodes() const { return nodes_; }
-  const EdgeMap& edges() const { return edges_; }
+  /// Calls `fn(tuple, weights)` per node group / `fn(src, dst, weights)` per
+  /// edge group, in code order.
+  template <typename Fn>
+  void ForEachNode(const Fn& fn) const {
+    for (const Row& row : nodes_) fn(NodeTuple(row.code), row.weight);
+  }
+  template <typename Fn>
+  void ForEachEdge(const Fn& fn) const {
+    for (const Row& row : edges_) {
+      const AttrTuplePair pair = EdgePair(row.code);
+      fn(pair.src, pair.dst, row.weight);
+    }
+  }
 
-  /// Structural + weight equality (map comparison).
-  bool operator==(const AggregateGraph&) const = default;
+  /// Rows with codes strictly ascending and within `codec`'s node (cells)
+  /// or edge (cells²) code space.
+  static bool WellFormed(const TupleCodec& codec, std::span<const Row> nodes,
+                         std::span<const Row> edges) {
+    const std::uint64_t cells = codec.cells();
+    return Ascending(nodes, cells) &&
+           (cells == 0 || cells <= ~std::uint64_t{0} / cells) &&
+           Ascending(edges, cells * cells);
+  }
+
+  /// Content equality: the same tuples with the same weights, under any two
+  /// codecs (both hold their rows in tuple order).
+  bool operator==(const CodedGraph& other) const {
+    if (codec_ == other.codec_) return nodes_ == other.nodes_ && edges_ == other.edges_;
+    if (nodes_.size() != other.nodes_.size() || edges_.size() != other.edges_.size()) {
+      return false;
+    }
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      if (!(nodes_[i].weight == other.nodes_[i].weight) ||
+          !(NodeTuple(nodes_[i].code) == other.NodeTuple(other.nodes_[i].code))) {
+        return false;
+      }
+    }
+    for (std::size_t i = 0; i < edges_.size(); ++i) {
+      if (!(edges_[i].weight == other.edges_[i].weight) ||
+          !(EdgePair(edges_[i].code) == other.EdgePair(other.edges_[i].code))) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+ protected:
+  /// Weights of a node / edge group; all-zero if absent.
+  W FindNode(const AttrTuple& tuple) const {
+    const std::optional<std::uint64_t> code = codec_.Encode(tuple);
+    return code.has_value() ? Find(nodes_, *code) : W{};
+  }
+  W FindEdge(const AttrTuple& src, const AttrTuple& dst) const {
+    const std::optional<std::uint64_t> s = codec_.Encode(src);
+    const std::optional<std::uint64_t> d = codec_.Encode(dst);
+    if (!s.has_value() || !d.has_value()) return W{};
+    return Find(edges_, *s * codec_.cells() + *d);
+  }
 
  private:
-  NodeMap nodes_;
-  EdgeMap edges_;
+  static W Find(const std::vector<Row>& rows, std::uint64_t code) {
+    auto it = std::lower_bound(
+        rows.begin(), rows.end(), code,
+        [](const Row& row, std::uint64_t c) { return row.code < c; });
+    return it != rows.end() && it->code == code ? it->weight : W{};
+  }
+  static bool Ascending(std::span<const Row> rows, std::uint64_t limit) {
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      if (rows[i].code >= limit) return false;
+      if (i > 0 && rows[i - 1].code >= rows[i].code) return false;
+    }
+    return true;
+  }
+
+  TupleCodec codec_;
+  std::vector<Row> nodes_;
+  std::vector<Row> edges_;
+};
+
+/// The aggregated graph G'(V', E', W_V', W_E') of Definition 2.6: aggregate
+/// nodes (attribute tuples) and aggregate edges (tuple pairs), both carrying
+/// COUNT weights, held as code-ordered rows (CodedGraph).
+class AggregateGraph : public CodedGraph<Weight> {
+ public:
+  using CodedGraph::CodedGraph;
+
+  /// Weight of aggregate node `tuple`; 0 if the node is absent.
+  Weight NodeWeight(const AttrTuple& tuple) const { return FindNode(tuple); }
+
+  /// Weight of aggregate edge (src, dst); 0 if absent.
+  Weight EdgeWeight(const AttrTuple& src, const AttrTuple& dst) const {
+    return FindEdge(src, dst);
+  }
+
+  /// Sum of all node / edge weights.
+  Weight TotalNodeWeight() const { return Total(nodes()); }
+  Weight TotalEdgeWeight() const { return Total(edges()); }
+
+ private:
+  static Weight Total(std::span<const Row> rows) {
+    Weight total = 0;
+    for (const Row& row : rows) total += row.weight;
+    return total;
+  }
 };
 
 /// DIST or ALL counting (see file comment).

@@ -61,17 +61,6 @@ Weight EvolutionWeights::ForEvent(EventType event) const {
   __builtin_unreachable();
 }
 
-EvolutionWeights EvolutionAggregate::NodeWeights(const AttrTuple& tuple) const {
-  auto it = nodes_.find(tuple);
-  return it == nodes_.end() ? EvolutionWeights{} : it->second;
-}
-
-EvolutionWeights EvolutionAggregate::EdgeWeights(const AttrTuple& src,
-                                                 const AttrTuple& dst) const {
-  auto it = edges_.find(AttrTuplePair{src, dst});
-  return it == edges_.end() ? EvolutionWeights{} : it->second;
-}
-
 namespace {
 
 using internal_grouping::GroupWeights;
@@ -240,39 +229,30 @@ EvolutionAggregate AggregateEvolution(const TemporalGraph& graph, const Interval
         return src * cells + dst;
       });
 
-  // Merge the chunks in ascending chunk order and emit every non-empty group.
+  // Merge the chunks in ascending chunk order into code-ordered rows.
   GT_SPAN("evo/merge", {{"node_chunks", node_parts.size()},
                         {"edge_chunks", edge_parts.size()}});
-  const GroupWeights<EvolutionWeights>& node_groups =
-      internal_grouping::MergeChunks(node_parts);
-  const GroupWeights<EvolutionWeights>& edge_groups =
-      internal_grouping::MergeChunks(edge_parts);
-  EvolutionAggregate result;
-  result.Reserve(node_groups.Groups(), edge_groups.Groups());
-  node_groups.ForEach([&](std::uint64_t code, const EvolutionWeights& weights) {
-    result.MutableNodeWeights(codes.Tuple(code)) = weights;
-  });
-  edge_groups.ForEach([&](std::uint64_t code, const EvolutionWeights& weights) {
-    result.MutableEdgeWeights({codes.Tuple(code / cells), codes.Tuple(code % cells)}) =
-        weights;
-  });
-  return result;
+  return EvolutionAggregate(codes.codec(),
+                            internal_grouping::MergeChunks(node_parts).Rows(),
+                            internal_grouping::MergeChunks(edge_parts).Rows());
 }
 
 namespace {
 
-/// Deterministic tuple ordering for tie-breaks.
-bool TupleLess(const AttrTuple& a, const AttrTuple& b) {
-  if (a.size() != b.size()) return a.size() < b.size();
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) return a[i] < b[i];
+/// The groups of `rows` with a positive `event` weight, weight-descending
+/// then code-ascending (tuple order), at most `top_k` of them.
+std::vector<GroupRow<Weight>> TopRows(std::span<const GroupRow<EvolutionWeights>> rows,
+                                      EventType event, std::size_t top_k) {
+  std::vector<GroupRow<Weight>> top;
+  for (const GroupRow<EvolutionWeights>& row : rows) {
+    const Weight weight = row.weight.ForEvent(event);
+    if (weight > 0) top.push_back({row.code, weight});
   }
-  return false;
-}
-
-bool PairLess(const AttrTuplePair& a, const AttrTuplePair& b) {
-  if (!(a.src == b.src)) return TupleLess(a.src, b.src);
-  return TupleLess(a.dst, b.dst);
+  std::stable_sort(top.begin(), top.end(), [](const auto& a, const auto& b) {
+    return a.weight > b.weight;
+  });
+  if (top.size() > top_k) top.resize(top_k);
+  return top;
 }
 
 }  // namespace
@@ -281,28 +261,15 @@ TopEventGroups RankEventGroups(const TemporalGraph& graph, const IntervalSet& t_
                                const IntervalSet& t_new, std::span<const AttrRef> attrs,
                                EventType event, std::size_t top_k,
                                const NodeTimeFilter* filter) {
-  EvolutionAggregate evolution = AggregateEvolution(graph, t_old, t_new, attrs, filter);
+  const EvolutionAggregate evolution =
+      AggregateEvolution(graph, t_old, t_new, attrs, filter);
   TopEventGroups top;
-  for (const auto& [tuple, weights] : evolution.nodes()) {
-    Weight weight = weights.ForEvent(event);
-    if (weight > 0) top.nodes.push_back(RankedNodeGroup{tuple, weight});
+  for (const GroupRow<Weight>& row : TopRows(evolution.nodes(), event, top_k)) {
+    top.nodes.push_back(RankedNodeGroup{evolution.NodeTuple(row.code), row.weight});
   }
-  for (const auto& [pair, weights] : evolution.edges()) {
-    Weight weight = weights.ForEvent(event);
-    if (weight > 0) top.edges.push_back(RankedEdgeGroup{pair, weight});
+  for (const GroupRow<Weight>& row : TopRows(evolution.edges(), event, top_k)) {
+    top.edges.push_back(RankedEdgeGroup{evolution.EdgePair(row.code), row.weight});
   }
-  std::sort(top.nodes.begin(), top.nodes.end(),
-            [](const RankedNodeGroup& a, const RankedNodeGroup& b) {
-              if (a.weight != b.weight) return a.weight > b.weight;
-              return TupleLess(a.tuple, b.tuple);
-            });
-  std::sort(top.edges.begin(), top.edges.end(),
-            [](const RankedEdgeGroup& a, const RankedEdgeGroup& b) {
-              if (a.weight != b.weight) return a.weight > b.weight;
-              return PairLess(a.pair, b.pair);
-            });
-  if (top.nodes.size() > top_k) top.nodes.resize(top_k);
-  if (top.edges.size() > top_k) top.edges.resize(top_k);
   return top;
 }
 

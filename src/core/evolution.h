@@ -2,7 +2,7 @@
 #define GRAPHTEMPO_CORE_EVOLUTION_H_
 
 #include <span>
-#include <unordered_map>
+#include <vector>
 
 #include "core/aggregation.h"
 #include "core/operators.h"
@@ -61,32 +61,17 @@ struct EvolutionWeights {
   bool operator==(const EvolutionWeights&) const = default;
 };
 
-/// The aggregate evolution graph: tuples / tuple pairs → three weights.
-class EvolutionAggregate {
+/// The aggregate evolution graph: tuples / tuple pairs → three weights, held
+/// as code-ordered rows (CodedGraph).
+class EvolutionAggregate : public CodedGraph<EvolutionWeights> {
  public:
-  using NodeMap = std::unordered_map<AttrTuple, EvolutionWeights, AttrTupleHash>;
-  using EdgeMap = std::unordered_map<AttrTuplePair, EvolutionWeights, AttrTuplePairHash>;
-
-  const NodeMap& nodes() const { return nodes_; }
-  const EdgeMap& edges() const { return edges_; }
+  using CodedGraph::CodedGraph;
 
   /// Weights of an aggregate node / edge; all-zero if absent.
-  EvolutionWeights NodeWeights(const AttrTuple& tuple) const;
-  EvolutionWeights EdgeWeights(const AttrTuple& src, const AttrTuple& dst) const;
-
-  /// Mutable access, inserting an all-zero entry if absent.
-  EvolutionWeights& MutableNodeWeights(const AttrTuple& tuple) { return nodes_[tuple]; }
-  EvolutionWeights& MutableEdgeWeights(const AttrTuplePair& pair) { return edges_[pair]; }
-
-  /// Pre-sizes the maps for `nodes` node groups and `edges` edge groups.
-  void Reserve(std::size_t nodes, std::size_t edges) {
-    nodes_.reserve(nodes);
-    edges_.reserve(edges);
+  EvolutionWeights NodeWeights(const AttrTuple& tuple) const { return FindNode(tuple); }
+  EvolutionWeights EdgeWeights(const AttrTuple& src, const AttrTuple& dst) const {
+    return FindEdge(src, dst);
   }
-
- private:
-  NodeMap nodes_;
-  EdgeMap edges_;
 };
 
 /// Aggregates the evolution graph "as a whole" (paper Fig 4b): for every
@@ -109,8 +94,9 @@ class EvolutionAggregate {
 /// and no filter an entity's tuple cannot change, so its event follows from
 /// fold membership alone; otherwise each entity's distinct group codes are
 /// collected with the intervals they appeared in. Weights accumulate per
-/// group code in dense per-chunk tables (hashed above the dense thresholds)
-/// and merge in chunk order (docs/KERNELS.md §9).
+/// group code in dense per-chunk tables (hashed above the dense thresholds),
+/// merge in chunk order and become the answer's code-ordered rows
+/// (docs/KERNELS.md §9).
 EvolutionAggregate AggregateEvolution(const TemporalGraph& graph, const IntervalSet& t_old,
                                       const IntervalSet& t_new,
                                       std::span<const AttrRef> attrs,
@@ -142,7 +128,7 @@ struct TopEventGroups {
 /// `t_new` by their `event` weight — "which groups grew/shrank/persisted the
 /// most?", the attribute-group half of the interactive exploration the
 /// paper's conclusion sketches. Zero-weight groups are omitted; ties are
-/// broken by tuple codes so the ranking is deterministic.
+/// broken by group code (tuple order) so the ranking is deterministic.
 TopEventGroups RankEventGroups(const TemporalGraph& graph, const IntervalSet& t_old,
                                const IntervalSet& t_new, std::span<const AttrRef> attrs,
                                EventType event, std::size_t top_k,

@@ -126,9 +126,9 @@ EventEngine::EventEngine(const TemporalGraph& graph, const EntitySelector& selec
   codes_.emplace(graph, selector.attrs, times, /*filter=*/nullptr, "explore/codes");
   const std::uint64_t cells = codes_->cells();
   if (filtered_) {
-    const std::optional<std::uint32_t> src =
+    const std::optional<std::uint64_t> src =
         codes_->CodeOf(nodes_ ? *selector.node_tuple : *selector.src_tuple);
-    const std::optional<std::uint32_t> dst =
+    const std::optional<std::uint64_t> dst =
         nodes_ ? src : codes_->CodeOf(*selector.dst_tuple);
     if (src.has_value() && dst.has_value()) target_ = nodes_ ? *src : *src * cells + *dst;
   }

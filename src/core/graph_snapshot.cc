@@ -1,6 +1,11 @@
 #include "core/graph_snapshot.h"
 
+#include <optional>
+#include <span>
 #include <utility>
+#include <vector>
+
+#include "core/grouping_internal.h"
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -449,21 +454,70 @@ std::optional<TemporalGraph> LoadGraphSnapshot(const std::string& path,
   return graph;
 }
 
+namespace {
+
+template <typename Row>
+void EncodeRows(std::span<const Row> rows, ByteWriter* out) {
+  out->U64(rows.size());
+  for (const Row& row : rows) {
+    out->U64(row.code);
+    out->U64(static_cast<std::uint64_t>(row.weight));
+  }
+}
+
+bool DecodeRows(ByteReader* in, std::vector<GroupRow<Weight>>* rows) {
+  std::uint64_t count = 0;
+  if (!in->U64(&count) || count > in->remaining() / 16) return false;
+  rows->resize(count);
+  for (GroupRow<Weight>& row : *rows) {
+    std::uint64_t weight = 0;
+    if (!in->U64(&row.code) || !in->U64(&weight)) return false;
+    row.weight = static_cast<Weight>(weight);
+  }
+  return true;
+}
+
+std::optional<TupleCodec> DecodeCodec(ByteReader* in) {
+  std::uint8_t packed = 0, arity = 0;
+  if (!in->U8(&packed) || !in->U8(&arity) || arity > AttrTuple::kMaxAttrs) {
+    return std::nullopt;
+  }
+  if (packed != 0) {
+    std::vector<std::uint64_t> radices(arity);
+    for (std::uint64_t& radix : radices) {
+      if (!in->U64(&radix)) return std::nullopt;
+    }
+    return TupleCodec::Packed(radices, internal_grouping::NodeCodes::kHidden);
+  }
+  std::uint64_t count = 0;
+  if (!in->U64(&count) || count > in->remaining()) return std::nullopt;
+  std::vector<AttrTuple> tuples(count);
+  for (std::size_t i = 0; i < tuples.size(); ++i) {
+    if (!DecodeTuple(in, &tuples[i]) || tuples[i].size() != arity ||
+        (i > 0 && !(tuples[i - 1] < tuples[i]))) {
+      return std::nullopt;
+    }
+  }
+  return TupleCodec::Numbered(std::move(tuples));
+}
+
+}  // namespace
+
 std::string EncodeAggregateGraphs(const std::vector<AggregateGraph>& layers) {
   ByteWriter out;
   out.U64(layers.size());
   for (const AggregateGraph& layer : layers) {
-    out.U64(layer.nodes().size());
-    for (const auto& [tuple, weight] : layer.nodes()) {
-      EncodeTuple(tuple, &out);
-      out.U64(static_cast<std::uint64_t>(weight));
+    const TupleCodec& codec = layer.codec();
+    out.U8(codec.packed() ? 1 : 0);
+    out.U8(static_cast<std::uint8_t>(codec.arity()));
+    if (codec.packed()) {
+      for (std::size_t i = 0; i < codec.arity(); ++i) out.U64(codec.radix(i));
+    } else {
+      out.U64(codec.tuples().size());
+      for (const AttrTuple& tuple : codec.tuples()) EncodeTuple(tuple, &out);
     }
-    out.U64(layer.edges().size());
-    for (const auto& [pair, weight] : layer.edges()) {
-      EncodeTuple(pair.src, &out);
-      EncodeTuple(pair.dst, &out);
-      out.U64(static_cast<std::uint64_t>(weight));
-    }
+    EncodeRows(layer.nodes(), &out);
+    EncodeRows(layer.edges(), &out);
   }
   return out.Take();
 }
@@ -472,34 +526,19 @@ bool DecodeAggregateGraphs(std::string_view bytes,
                            std::vector<AggregateGraph>* out, std::string* error) {
   ByteReader in(bytes);
   std::uint64_t layer_count = 0;
-  if (!in.U64(&layer_count)) {
-    *error = "corrupt aggregate-graph encoding";
-    return false;
-  }
   std::vector<AggregateGraph> layers;
-  for (std::uint64_t l = 0; l < layer_count; ++l) {
-    AggregateGraph layer;
-    std::uint64_t node_count = 0;
-    if (!in.U64(&node_count)) break;
-    bool ok = true;
-    for (std::uint64_t i = 0; ok && i < node_count; ++i) {
-      AttrTuple tuple;
-      std::uint64_t weight = 0;
-      ok = DecodeTuple(&in, &tuple) && in.U64(&weight);
-      if (ok) layer.AddNodeWeight(tuple, static_cast<Weight>(weight));
-    }
-    std::uint64_t edge_count = 0;
-    ok = ok && in.U64(&edge_count);
-    for (std::uint64_t i = 0; ok && i < edge_count; ++i) {
-      AttrTuple src, dst;
-      std::uint64_t weight = 0;
-      ok = DecodeTuple(&in, &src) && DecodeTuple(&in, &dst) && in.U64(&weight);
-      if (ok) layer.AddEdgeWeight(src, dst, static_cast<Weight>(weight));
-    }
+  bool ok = in.U64(&layer_count);
+  for (std::uint64_t l = 0; ok && l < layer_count; ++l) {
+    std::optional<TupleCodec> codec = DecodeCodec(&in);
+    std::vector<GroupRow<Weight>> nodes, edges;
+    ok = codec.has_value() && DecodeRows(&in, &nodes) && DecodeRows(&in, &edges);
     if (!ok) break;
-    layers.push_back(std::move(layer));
+    // Rows out of code order or outside the codec would read as wrong
+    // tuples: a miss instead.
+    ok = AggregateGraph::WellFormed(*codec, nodes, edges);
+    if (ok) layers.emplace_back(std::move(*codec), std::move(nodes), std::move(edges));
   }
-  if (layers.size() != layer_count || !in.AtEnd()) {
+  if (!ok || layers.size() != layer_count || !in.AtEnd()) {
     *error = "corrupt aggregate-graph encoding";
     return false;
   }

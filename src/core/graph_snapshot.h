@@ -47,8 +47,9 @@ std::optional<TemporalGraph> LoadGraphSnapshot(const std::string& path,
 
 /// Serializes a materialized roll-up layer (one `AggregateGraph` per time
 /// point) to bytes — the engine's spill-tier format for subset layers and
-/// large cached aggregate results. Deterministic given iteration order is
-/// not (hash maps): decode(encode(x)) == x, but encode is not canonical.
+/// large cached aggregate results: each graph's codec, then its code-ordered
+/// rows as they are (docs/STORAGE.md §4). Canonical: decode(encode(x)) == x
+/// row for row.
 std::string EncodeAggregateGraphs(const std::vector<AggregateGraph>& layers);
 
 /// Inverse of EncodeAggregateGraphs. False + one diagnostic on malformed

@@ -31,67 +31,12 @@ namespace graphtempo::internal_grouping {
 /// (whose default is 2048).
 inline constexpr std::size_t kGroupMinPerChunk = 512;
 
-/// Mixed-radix packer over the dictionary domains of the aggregation
-/// attributes: digit i is `code + 1` (0 reserved for kNoValue), radix i is
-/// `dictionary size + 1`. Packing is a bijection between attribute tuples and
-/// [0, cells()), so a flat weight array replaces the hash map whenever
-/// cells() is small — one multiply-add per attribute instead of an FNV hash
-/// plus probe chain per appearance.
-class DensePacker {
- public:
-  /// Returns nullopt when the cell-space product exceeds `max_cells`.
-  static std::optional<DensePacker> Create(const TemporalGraph& graph,
-                                           std::span<const AttrRef> attrs,
-                                           std::size_t max_cells) {
-    DensePacker packer;
-    packer.radices_.reserve(attrs.size());
-    for (const AttrRef& ref : attrs) {
-      const Dictionary& dict = ref.kind == AttrRef::Kind::kStatic
-                                   ? graph.static_attribute(ref.index).dictionary()
-                                   : graph.time_varying_attribute(ref.index).dictionary();
-      const std::size_t radix = dict.size() + 1;  // +1: the kNoValue digit
-      if (packer.cells_ > max_cells / radix) return std::nullopt;
-      packer.cells_ *= radix;
-      packer.radices_.push_back(radix);
-    }
-    return packer;
-  }
-
-  std::size_t cells() const { return cells_; }
-
-  /// Radix of attribute `i` (its dictionary size + 1).
-  std::size_t radix(std::size_t i) const { return radices_[i]; }
-
-  /// The digit of `code`: 0 for kNoValue, code + 1 otherwise (kNoValue is
-  /// the largest AttrValueId, so `code + 1` wraps to 0 for it).
-  static std::size_t Digit(AttrValueId code) {
-    static_assert(kNoValue == std::numeric_limits<AttrValueId>::max());
-    return static_cast<AttrValueId>(code + 1);
-  }
-
-  AttrTuple Unpack(std::size_t packed) const {
-    std::array<std::size_t, AttrTuple::kMaxAttrs> digits = {};
-    for (std::size_t i = radices_.size(); i-- > 0;) {
-      digits[i] = packed % radices_[i];
-      packed /= radices_[i];
-    }
-    AttrTuple tuple;
-    for (std::size_t i = 0; i < radices_.size(); ++i) {
-      tuple.Append(digits[i] == 0 ? kNoValue
-                                  : static_cast<AttrValueId>(digits[i] - 1));
-    }
-    return tuple;
-  }
-
- private:
-  std::vector<std::size_t> radices_;
-  std::size_t cells_ = 1;
-};
-
 /// The group code of every node a request reads. A code is the node's
-/// packed tuple (DensePacker) when the attribute domain has fewer than 2^32
-/// cells, and otherwise the index of the tuple among the distinct ones the
-/// request meets; `kHidden` marks a (node, time) the filter hides.
+/// packed tuple (TupleCodec::Packed) when the attribute domain has fewer than
+/// 2^32 cells, and otherwise the index of the tuple among the distinct ones
+/// the request meets, in ascending tuple order (TupleCodec::Numbered); either
+/// way code order is tuple order. `kHidden` marks a (node, time) the filter
+/// hides.
 ///
 /// The attribute columns are hoisted once per request, as one base pointer
 /// per attribute and time point: the code of attribute i for node n at time
@@ -101,7 +46,8 @@ class DensePacker {
 /// attributes without a filter get one code per node: computed up front when
 /// there are several (one load then replaces a multiply-add per attribute),
 /// and read straight from the column for a single one (its digit is the
-/// stored value + 1, so a pass over every node would only add work).
+/// stored value capped at `radix - 1`, so a pass over every node would only
+/// add work).
 /// Otherwise packed codes are computed per appearance, and unpackable domains
 /// number their tuples up front, one code per node and time point of the
 /// request.
@@ -115,9 +61,10 @@ class NodeCodes {
   NodeCodes(const TemporalGraph& graph, std::span<const AttrRef> attrs,
             std::span<const TimeId> times, const NodeTimeFilter* filter,
             const char* span_name)
-      : packer_(DensePacker::Create(graph, attrs, kHidden)),
+      : codec_(TupleCodec::Packed(graph, attrs, kHidden)
+                     .value_or(TupleCodec::Numbered({}))),
         filter_(filter),
-        per_appearance_(packer_.has_value() && !times.empty()),
+        per_appearance_(codec_.packed() && !times.empty()),
         slots_(std::max<std::size_t>(times.size(), 1)) {
     GT_CHECK_LE(attrs.size(), AttrTuple::kMaxAttrs) << "too many aggregation attributes";
     const std::size_t nodes = graph.num_nodes();
@@ -139,28 +86,28 @@ class NodeCodes {
         }
       }
       columns_[num_attrs_].at_time = at_time;
-      if (packer_.has_value()) columns_[num_attrs_].radix = packer_->radix(num_attrs_);
+      if (codec_.packed()) columns_[num_attrs_].radix = codec_.radix(num_attrs_);
       ++num_attrs_;
     }
-    if (packer_.has_value()) cells_ = packer_->cells();
-    if (packer_.has_value() && times.empty() && num_attrs_ == 1) {
-      node_codes_ = columns_[0].at_time[0];  // Digit(code) == code + 1
-      node_offset_ = 1;
+    if (codec_.packed() && times.empty() && num_attrs_ == 1) {
+      node_codes_ = columns_[0].at_time[0];  // Digit(code) == min(code, radix - 1)
+      node_cap_ = static_cast<std::uint32_t>(columns_[0].radix - 1);
     } else if (!per_appearance_) {
       // Up front: one code per node (static), or one per node and time.
       GT_SPAN(span_name, {{"nodes", nodes}, {"slots", slots_}});
       slot_of_.assign(graph.num_times(), 0);
       for (std::uint32_t s = 0; s < times.size(); ++s) slot_of_[times[s]] = s;
       codes_.resize(nodes * slots_);
-      if (packer_.has_value()) {  // static: pack on the pool
+      if (codec_.packed()) {  // static: pack on the pool
         ParallelPartition(nodes, kGroupMinPerChunk, /*alignment=*/1)
             .Run([&](std::size_t, std::size_t begin, std::size_t end) {
               for (std::size_t n = begin; n < end; ++n) {
                 codes_[n] = Pack(static_cast<NodeId>(n), 0);
               }
             });
-      } else {  // too wide to pack: number the tuples in (node, time) order
+      } else {  // too wide to pack: number the tuples, then renumber in order
         std::unordered_map<AttrTuple, std::uint32_t, AttrTupleHash> index;
+        std::vector<AttrTuple> met;
         for (NodeId n = 0; n < nodes; ++n) {
           for (std::size_t s = 0; s < slots_; ++s) {
             const TimeId t = times.empty() ? TimeId{0} : times[s];
@@ -171,19 +118,21 @@ class NodeCodes {
             AttrTuple tuple;
             for (std::size_t i = 0; i < num_attrs_; ++i) tuple.Append(Code(i, n, t));
             auto [it, added] =
-                index.try_emplace(tuple, static_cast<std::uint32_t>(tuples_.size()));
-            if (added) tuples_.push_back(tuple);
+                index.try_emplace(tuple, static_cast<std::uint32_t>(met.size()));
+            if (added) met.push_back(tuple);
             codes_[n * slots_ + s] = it->second;
           }
         }
-        cells_ = tuples_.size();
+        codec_ = TupleCodec::Numbered(met);
+        std::vector<std::uint32_t> order_of(met.size());
+        for (std::size_t i = 0; i < met.size(); ++i) {
+          order_of[i] = static_cast<std::uint32_t>(*codec_.Encode(met[i]));
+        }
+        for (std::uint32_t& code : codes_) {
+          if (code != kHidden) code = order_of[code];
+        }
       }
       node_codes_ = codes_.data();
-    }
-    if (packer_.has_value() && cells_ <= kDecodedCellsMax) {
-      for (std::size_t code = 0; code < cells_; ++code) {
-        tuples_.push_back(packer_->Unpack(code));
-      }
     }
   }
 
@@ -197,41 +146,22 @@ class NodeCodes {
     return Hidden(n, t) ? kHidden : Pack(n, t);
   }
   /// Code of node n when the codes stand for every time point.
-  std::uint32_t At(NodeId n) const {
-    return static_cast<std::uint32_t>(node_codes_[n] + node_offset_);
-  }
+  std::uint32_t At(NodeId n) const { return std::min(node_codes_[n], node_cap_); }
+
+  /// The codec of the codes: what an answer built on them decodes with.
+  const TupleCodec& codec() const { return codec_; }
 
   /// Number of distinct codes: every code is below it.
-  std::size_t cells() const { return cells_; }
-
-  AttrTuple Tuple(std::uint64_t code) const {
-    return tuples_.empty() ? packer_->Unpack(code) : tuples_[code];
-  }
+  std::size_t cells() const { return codec().cells(); }
 
   /// The code of `tuple`, or nullopt when no code stands for it: another
   /// arity, a value outside an attribute's dictionary, or (numbered tuples)
   /// a tuple no node carries at the constructor's time points.
-  std::optional<std::uint32_t> CodeOf(const AttrTuple& tuple) const {
-    if (tuple.size() != num_attrs_) return std::nullopt;
-    if (!packer_.has_value()) {
-      auto it = std::find(tuples_.begin(), tuples_.end(), tuple);
-      if (it == tuples_.end()) return std::nullopt;
-      return static_cast<std::uint32_t>(it - tuples_.begin());
-    }
-    std::size_t packed = 0;
-    for (std::size_t i = 0; i < num_attrs_; ++i) {
-      const std::size_t digit = DensePacker::Digit(tuple[i]);
-      if (digit >= columns_[i].radix) return std::nullopt;
-      packed = packed * columns_[i].radix + digit;
-    }
-    return static_cast<std::uint32_t>(packed);
+  std::optional<std::uint64_t> CodeOf(const AttrTuple& tuple) const {
+    return codec().Encode(tuple);
   }
 
  private:
-  /// Packed domains up to this many cells decode every code once, up front,
-  /// so emitting thousands of edge groups costs two loads per group.
-  static constexpr std::size_t kDecodedCellsMax = 4096;
-
   struct Column {
     const AttrValueId* const* at_time = nullptr;  // code of n at t: at_time[t][n]
     std::size_t radix = 0;  // the packer's radix of the attribute
@@ -241,9 +171,10 @@ class NodeCodes {
     return columns_[i].at_time[t][n];
   }
   std::uint32_t Pack(NodeId n, TimeId t) const {
-    std::size_t packed = DensePacker::Digit(Code(0, n, t));
+    std::size_t packed = TupleCodec::Digit(Code(0, n, t), columns_[0].radix);
     for (std::size_t i = 1; i < num_attrs_; ++i) {
-      packed = packed * columns_[i].radix + DensePacker::Digit(Code(i, n, t));
+      packed = packed * columns_[i].radix +
+               TupleCodec::Digit(Code(i, n, t), columns_[i].radix);
     }
     return static_cast<std::uint32_t>(packed);
   }
@@ -254,16 +185,14 @@ class NodeCodes {
   // Per attribute, one code array per time point of the domain: the
   // time-varying column's own arrays, or the static column repeated.
   std::vector<const AttrValueId*> bases_;
-  const std::optional<DensePacker> packer_;
+  TupleCodec codec_;  // packed, or numbered once the constructor met the tuples
   const NodeTimeFilter* const filter_;
   const bool per_appearance_;  // packed codes computed by At(n, t)
   const std::size_t slots_;
   std::vector<std::uint32_t> slot_of_;  // time point → slot of `codes_`
   std::vector<std::uint32_t> codes_;    // node-major, `slots_` per node
-  const std::uint32_t* node_codes_ = nullptr;  // At(n): node_codes_[n] + node_offset_
-  std::uint32_t node_offset_ = 0;
-  std::size_t cells_ = 0;
-  std::vector<AttrTuple> tuples_;  // code → tuple, when decoded up front
+  const std::uint32_t* node_codes_ = nullptr;  // At(n): min(node_codes_[n], node_cap_)
+  std::uint32_t node_cap_ = kHidden;
 };
 
 /// Calls `fn(code)` for the appearances of one entity: the set bits of its
@@ -291,8 +220,8 @@ void ForEachAppearanceCode(const std::uint64_t* row, const std::uint64_t* mask,
   }
 }
 
-/// One chunk's weights `W` per group code: a flat array over every code
-/// when dense, a hash map on the code otherwise.
+/// Weights `W` per group code (one chunk's, or a sum's): a flat array over
+/// every code when dense, a hash map on the code otherwise.
 template <typename W>
 class GroupWeights {
  public:
@@ -303,18 +232,35 @@ class GroupWeights {
 
   W& Flat(std::uint64_t code) { return flat_[code]; }
   W& Hashed(std::uint64_t code) { return hashed_[code]; }
+  W& operator[](std::uint64_t code) { return dense_ ? Flat(code) : Hashed(code); }
 
   /// Adds `part`, a table built with the same constructor arguments.
   void MergeFrom(const GroupWeights& part) {
     part.ForEach([&](std::uint64_t code, const W& weights) {
-      (dense_ ? Flat(code) : Hashed(code)) += weights;
+      (*this)[code] += weights;
     });
   }
 
-  std::size_t Groups() const {
-    std::size_t groups = 0;
-    ForEach([&](std::uint64_t, const W&) { ++groups; });
-    return groups;
+  /// The non-empty groups as rows in ascending code order: the dense table
+  /// read in order, or the hashed codes sorted once.
+  std::vector<GroupRow<W>> Rows() const {
+    std::vector<GroupRow<W>> rows;
+    if (!dense_) {
+      rows.reserve(hashed_.size());
+      for (const auto& [code, weights] : hashed_) {
+        if (!(weights == W{})) rows.push_back({code, weights});
+      }
+      std::sort(rows.begin(), rows.end(), [](const GroupRow<W>& a, const GroupRow<W>& b) {
+        return a.code < b.code;
+      });
+      return rows;
+    }
+    rows.reserve(static_cast<std::size_t>(std::count_if(
+        flat_.begin(), flat_.end(), [](const W& w) { return !(w == W{}); })));
+    for (std::size_t code = 0; code < flat_.size(); ++code) {
+      if (!(flat_[code] == W{})) rows.push_back({std::uint64_t{code}, flat_[code]});
+    }
+    return rows;
   }
 
   /// Calls `fn(code, weights)` for every non-empty group (ascending by code
@@ -332,6 +278,14 @@ class GroupWeights {
   std::vector<W> flat_;
   std::unordered_map<std::uint64_t, W> hashed_;
 };
+
+/// A table to sum about `rows` rows over `codes` codes into: dense when the
+/// code space is small next to the rows (one flat pass then beats a sort),
+/// hashed otherwise.
+template <typename W>
+GroupWeights<W> SumTable(std::uint64_t codes, std::size_t rows) {
+  return GroupWeights<W>(codes <= kDenseEdgePairsMax && codes <= 8 * rows + 4096, codes);
+}
 
 /// Runs `scan(begin, end, cell)` for every chunk of `partition` on the pool,
 /// each into a private `GroupWeights<W>(dense, codes)`; `cell(code)` is the

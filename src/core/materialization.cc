@@ -1,5 +1,8 @@
 #include "core/materialization.h"
 
+#include <algorithm>
+
+#include "core/grouping_internal.h"
 #include "core/operators.h"
 #include "obs/trace.h"
 #include "util/parallel.h"
@@ -8,13 +11,51 @@ namespace graphtempo {
 
 namespace {
 
-AttrTuple ProjectTuple(const AttrTuple& tuple, std::span<const std::size_t> keep) {
-  AttrTuple projected;
-  for (std::size_t position : keep) {
-    GT_CHECK_LT(position, tuple.size()) << "roll-up position out of tuple range";
-    projected.Append(tuple[position]);
+/// The weight-sum of `parts` under codec `to`: `node_code(p, code)` maps a
+/// node code of part p into `to`, and an edge code is split into its two
+/// node codes, each mapped.
+template <typename NodeCode>
+AggregateGraph Recode(std::span<const AggregateGraph* const> parts, const TupleCodec& to,
+                      const NodeCode& node_code) {
+  std::size_t node_rows = 0, edge_rows = 0;
+  for (const AggregateGraph* part : parts) {
+    node_rows += part->NodeCount();
+    edge_rows += part->EdgeCount();
   }
-  return projected;
+  const std::uint64_t cells = to.cells();
+  auto nodes = internal_grouping::SumTable<Weight>(cells, node_rows);
+  auto edges = internal_grouping::SumTable<Weight>(cells * cells, edge_rows);
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    const std::uint64_t from = parts[p]->codec().cells();
+    for (const GroupRow<Weight>& row : parts[p]->nodes()) {
+      nodes[node_code(p, row.code)] += row.weight;
+    }
+    for (const GroupRow<Weight>& row : parts[p]->edges()) {
+      edges[node_code(p, row.code / from) * cells + node_code(p, row.code % from)] +=
+          row.weight;
+    }
+  }
+  return AggregateGraph(to, nodes.Rows(), edges.Rows());
+}
+
+/// A codec that encodes every tuple of `parts`: their shared codec, or —
+/// when an append grew a dictionary between them — the numbering of their
+/// tuples.
+TupleCodec CommonCodec(std::span<const AggregateGraph* const> parts) {
+  const TupleCodec& first = parts.front()->codec();
+  if (std::all_of(parts.begin(), parts.end(),
+                  [&](const AggregateGraph* part) { return part->codec() == first; })) {
+    return first;
+  }
+  std::vector<AttrTuple> tuples;
+  for (const AggregateGraph* part : parts) {
+    part->ForEachNode([&](const AttrTuple& tuple, Weight) { tuples.push_back(tuple); });
+    part->ForEachEdge([&](const AttrTuple& src, const AttrTuple& dst, Weight) {
+      tuples.push_back(src);
+      tuples.push_back(dst);
+    });
+  }
+  return TupleCodec::Numbered(std::move(tuples));
 }
 
 }  // namespace
@@ -31,28 +72,49 @@ AggregateGraph RollUp(const AggregateGraph& aggregate,
           << "duplicate roll-up position " << keep_positions[i];
     }
   }
-  // Range-check against the aggregate's tuple arity once, rather than only
-  // per visited tuple: an out-of-range position must abort even when the
-  // aggregate is small or the first tuples happen to be wider.
-  const std::size_t arity = [&]() -> std::size_t {
-    if (!aggregate.nodes().empty()) return aggregate.nodes().begin()->first.size();
-    if (!aggregate.edges().empty()) return aggregate.edges().begin()->first.src.size();
-    return 0;  // empty aggregate: nothing to project, nothing to check against
-  }();
-  if (arity != 0) {
-    for (std::size_t position : keep_positions) {
-      GT_CHECK_LT(position, arity) << "roll-up position out of tuple range";
-    }
+  // Range-check against the codec's arity once, rather than per row: an
+  // out-of-range position must abort even when the aggregate is small.
+  const TupleCodec& from = aggregate.codec();
+  if (aggregate.NodeCount() + aggregate.EdgeCount() == 0) return AggregateGraph{};
+  for (std::size_t position : keep_positions) {
+    GT_CHECK_LT(position, from.arity()) << "roll-up position out of tuple range";
   }
-  AggregateGraph result;
-  for (const auto& [tuple, weight] : aggregate.nodes()) {
-    result.AddNodeWeight(ProjectTuple(tuple, keep_positions), weight);
+  // Each node code projects through its tuple: to the packed codec of the
+  // kept radices, or to the numbering of the projected tuples.
+  auto project = [&](const AttrTuple& tuple) {
+    AttrTuple kept;
+    for (std::size_t position : keep_positions) kept.Append(tuple[position]);
+    return kept;
+  };
+  TupleCodec to;
+  if (from.packed()) {
+    std::vector<std::uint64_t> radices;
+    for (std::size_t position : keep_positions) radices.push_back(from.radix(position));
+    to = *TupleCodec::Packed(radices, from.cells());
+  } else {
+    std::vector<AttrTuple> projected;
+    for (const AttrTuple& tuple : from.tuples()) projected.push_back(project(tuple));
+    to = TupleCodec::Numbered(std::move(projected));
   }
-  for (const auto& [pair, weight] : aggregate.edges()) {
-    result.AddEdgeWeight(ProjectTuple(pair.src, keep_positions),
-                         ProjectTuple(pair.dst, keep_positions), weight);
+  const AggregateGraph* parts[] = {&aggregate};
+  return Recode(parts, to, [&](std::size_t, std::uint64_t code) {
+    return *to.Encode(project(from.Decode(code)));
+  });
+}
+
+AggregateGraph SumAggregates(std::span<const AggregateGraph* const> parts) {
+  std::vector<const AggregateGraph*> held;
+  for (const AggregateGraph* part : parts) {
+    if (part->NodeCount() + part->EdgeCount() > 0) held.push_back(part);
   }
-  return result;
+  if (held.empty()) return AggregateGraph{};
+  parts = held;
+  const TupleCodec to = CommonCodec(parts);
+  std::vector<bool> same(parts.size());
+  for (std::size_t p = 0; p < parts.size(); ++p) same[p] = parts[p]->codec() == to;
+  return Recode(parts, to, [&](std::size_t p, std::uint64_t code) {
+    return same[p] ? code : *to.Encode(parts[p]->codec().Decode(code));
+  });
 }
 
 MaterializationStore::MaterializationStore(const TemporalGraph* graph,
@@ -102,15 +164,9 @@ AggregateGraph MaterializationStore::UnionAllAggregate(const IntervalSet& interv
   GT_CHECK_EQ(per_time_.size(), graph_->num_times())
       << "cache is stale — call Refresh() after AppendTimePoint()";
   GT_CHECK(!interval.Empty()) << "interval must be non-empty";
-  AggregateGraph result;
-  interval.ForEach([&](TimeId t) {
-    const AggregateGraph& point = per_time_[t];
-    for (const auto& [tuple, weight] : point.nodes()) result.AddNodeWeight(tuple, weight);
-    for (const auto& [pair, weight] : point.edges()) {
-      result.AddEdgeWeight(pair.src, pair.dst, weight);
-    }
-  });
-  return result;
+  std::vector<const AggregateGraph*> points;
+  interval.ForEach([&](TimeId t) { points.push_back(&per_time_[t]); });
+  return SumAggregates(points);
 }
 
 }  // namespace graphtempo

@@ -28,9 +28,16 @@ namespace graphtempo {
 /// Derives the aggregate over the attribute subset selected by
 /// `keep_positions` (indices into the original attribute list, in the desired
 /// output order) by summing group weights. Works for any weights because
-/// COUNT is distributive over the grouping.
+/// COUNT is distributive over the grouping. Runs on codes: each node code
+/// projects to its code under the kept attributes, and the projected rows
+/// sum by code.
 AggregateGraph RollUp(const AggregateGraph& aggregate,
                       std::span<const std::size_t> keep_positions);
+
+/// The weight-sum of `parts` per group: the T-distributive combine. Parts
+/// may carry different codecs (answers computed before and after an append
+/// grew a dictionary); the sum then decodes under one that holds them all.
+AggregateGraph SumAggregates(std::span<const AggregateGraph* const> parts);
 
 /// A cache of per-time-point ALL aggregates for one attribute list, plus the
 /// T-distributive combiner. Per-time-point aggregates coincide for DIST and

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <deque>
+#include <span>
+#include <utility>
 
 #include "accel/backend.h"
 #include "core/stats.h"
@@ -209,18 +211,31 @@ GraphView DifferenceOp(const TemporalGraph& graph, const IntervalSet& t1,
   view.edges =
       ExtractIndices(folds.UnionFold(edges, t1.bits()) - folds.UnionFold(edges, t2.bits()));
 
-  DynamicBitset endpoint(graph.num_nodes());
-  for (EdgeId e : view.edges) {
-    auto [src, dst] = graph.edge(e);
-    endpoint.Set(src);
-    endpoint.Set(dst);
-  }
-
-  // V₋ = (V(T₁) − V(T₂)) ∪ (V(T₁) ∩ endpoints(E₋)).
+  // V₋ = (V(T₁) − V(T₂)) ∪ (V(T₁) ∩ endpoints(E₋)). Only survivors, the
+  // nodes of V(T₁) ∩ V(T₂), can join through the second term: mark those
+  // among the endpoints of E₋, and stop once every survivor is marked.
   const PresenceIndex& nodes = graph.node_presence_index();
   const DynamicBitset& n1 = folds.UnionFold(nodes, t1.bits());
   const DynamicBitset& n2 = folds.UnionFold(nodes, t2.bits());
-  view.nodes = ExtractIndices((n1 - n2) | (n1 & endpoint));
+  DynamicBitset members = n1 - n2;
+  DynamicBitset survivors = n1 & n2;
+  std::size_t unmarked = survivors.Count();
+  std::uint64_t* survivor_words = survivors.word_data();
+  std::uint64_t* member_words = members.word_data();
+  auto mark = [&](NodeId v) {
+    const std::uint64_t bit = std::uint64_t{1} << (v % 64);
+    if ((survivor_words[v / 64] & bit) == 0) return;
+    survivor_words[v / 64] &= ~bit;
+    member_words[v / 64] |= bit;
+    --unmarked;
+  };
+  const std::span<const std::pair<NodeId, NodeId>> endpoints = graph.edge_endpoints();
+  for (std::size_t i = 0; i < view.edges.size() && unmarked > 0; ++i) {
+    const auto [src, dst] = endpoints[view.edges[i]];
+    mark(src);
+    mark(dst);
+  }
+  view.nodes = ExtractIndices(members);
   return view;
 }
 

@@ -89,6 +89,8 @@ std::vector<QueryResult> QueryEngine::ExecuteBatch(std::span<const BatchItem> it
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (done[i]) continue;
     BatchQueriesCounter().Increment();
+    QueryPlan local_plan;
+    QueryPlan* plan = items[i].plan != nullptr ? items[i].plan : &local_plan;
     const std::uint64_t hits_before = folds.hits();
     const std::uint64_t misses_before = folds.misses();
     {
@@ -98,7 +100,7 @@ std::vector<QueryResult> QueryEngine::ExecuteBatch(std::span<const BatchItem> it
       if (items[i].ctx != nullptr) {
         items[i].ctx->batched.store(true, std::memory_order_relaxed);
       }
-      results[i] = ExecuteLocked(*items[i].spec, PlanOptions{}, &folds);
+      results[i] = ExecuteLocked(*items[i].spec, PlanOptions{}, &folds, plan);
     }
     if (items[i].ctx != nullptr) {
       items[i].ctx->shared_fold_hits.fetch_add(folds.hits() - hits_before,
@@ -120,6 +122,8 @@ std::vector<QueryResult> QueryEngine::ExecuteBatch(std::span<const BatchItem> it
         continue;
       }
       results[j] = results[i];
+      // An equivalent spec plans alike: item i's plan is item j's.
+      if (items[j].plan != nullptr) *items[j].plan = *plan;
       done[j] = true;
       BatchQueriesCounter().Increment();
       BatchMergedCounter().Increment();

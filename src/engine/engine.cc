@@ -295,7 +295,7 @@ CostInputs QueryEngine::CostInputsLocked(const QuerySpec& spec, bool derivable,
     // First store point as the per-point group-count proxy: exact enough for
     // an ordering decision, free to read.
     const AggregateGraph& first = store_->AtTimePoint(0);
-    inputs.store_groups = first.nodes().size() + first.edges().size();
+    inputs.store_groups = first.NodeCount() + first.EdgeCount();
   }
   // A strict attribute subset answers through a per-time-point roll-up
   // layer; if that layer is cold, the derivation pays for building it over
@@ -479,21 +479,24 @@ AggregateGraph QueryEngine::Execute(const QuerySpec& spec, const PlanOptions& op
       << "Execute() answers aggregate specs; use ExecuteResult for "
       << QueryKindName(spec.kind) << " specs";
   std::shared_lock<std::shared_mutex> reader(state_mutex_);
-  return ExecuteLocked(spec, options, nullptr, /*rank_bypass=*/false).TakeAggregate();
+  return ExecuteLocked(spec, options, nullptr, nullptr).aggregate();
 }
 
-QueryResult QueryEngine::ExecuteResult(const QuerySpec& spec, const PlanOptions& options) {
+QueryResult QueryEngine::ExecuteResult(const QuerySpec& spec, const PlanOptions& options,
+                                       QueryPlan* executed_plan) {
   std::shared_lock<std::shared_mutex> reader(state_mutex_);
-  return ExecuteLocked(spec, options, nullptr);
+  return ExecuteLocked(spec, options, nullptr, executed_plan);
 }
 
 QueryResult QueryEngine::ExecuteLocked(const QuerySpec& spec, const PlanOptions& options,
-                                       FoldCache* folds, bool rank_bypass) {
+                                       FoldCache* folds, QueryPlan* executed_plan) {
   // Caller holds `state_mutex_` shared for the whole query: plan, lookup,
   // run. Writers — Refresh, EnableMaterialization, graph mutations under
   // AcquireWriterLock — are excluded until it returns, so the graph and store
   // are frozen from this thread's point of view.
-  const QueryPlan plan = PlanLocked(spec, options);
+  QueryPlan local_plan;
+  QueryPlan& plan = executed_plan != nullptr ? *executed_plan : local_plan;
+  plan = PlanLocked(spec, options);
   GT_SPAN("engine/execute", {{"route", static_cast<std::uint64_t>(plan.route)},
                              {"steps", plan.steps.size()}});
   QueriesCounter().Increment();
@@ -510,7 +513,7 @@ QueryResult QueryEngine::ExecuteLocked(const QuerySpec& spec, const PlanOptions&
     cache_stats_.bypasses.fetch_add(1, std::memory_order_relaxed);
     CacheBypassCounter().Increment();
     if (ctx != nullptr) ctx->cache.store("bypass", std::memory_order_relaxed);
-    return Run(spec, plan, folds, rank_bypass);
+    return Run(spec, plan, folds);
   }
 
   const std::uint64_t generation = graph_->mutation_generation();
@@ -550,7 +553,7 @@ QueryResult QueryEngine::ExecuteLocked(const QuerySpec& spec, const PlanOptions&
   CacheMissCounter().Increment();
   if (ctx != nullptr) ctx->cache.store("miss", std::memory_order_relaxed);
 
-  QueryResult result = Run(spec, plan, folds, /*rank=*/true);
+  QueryResult result = Run(spec, plan, folds);
   InsertResult(spec, plan, result, generation);
   return result;
 }
@@ -637,7 +640,7 @@ void QueryEngine::InsertResult(const QuerySpec& spec, const QueryPlan& plan,
 }
 
 QueryResult QueryEngine::Run(const QuerySpec& spec, const QueryPlan& plan,
-                             FoldCache* folds, bool rank) {
+                             FoldCache* folds) {
   if (spec.kind == QueryKind::kEvolution) {
     RouteDirectCounter().Increment();
     EvolutionAggregate evolution;
@@ -666,7 +669,6 @@ QueryResult QueryEngine::Run(const QuerySpec& spec, const QueryPlan& plan,
     default:
       GT_CHECK(false) << "unreachable plan route";
   }
-  if (!rank) return QueryResult::Unranked(std::move(aggregate));
   GT_SPAN("engine/rank");
   return QueryResult(std::move(aggregate));
 }
@@ -887,16 +889,12 @@ AggregateGraph QueryEngine::RunMaterialized(const QuerySpec& spec, const QueryPl
   AggregateGraph combined;
   {
     GT_SPAN("engine/combine", {{"points", interval.Count()}});
+    std::vector<const AggregateGraph*> points;
     interval.ForEach([&](TimeId t) {
-      const AggregateGraph& point = full_set ? store_->AtTimePoint(t) : (*layer)[t];
-      for (const auto& [tuple, weight] : point.nodes()) {
-        combined.AddNodeWeight(tuple, weight);
-      }
-      for (const auto& [pair, weight] : point.edges()) {
-        combined.AddEdgeWeight(pair.src, pair.dst, weight);
-      }
-      derivation_stats_.combines.fetch_add(1, std::memory_order_relaxed);
+      points.push_back(full_set ? &store_->AtTimePoint(t) : &(*layer)[t]);
     });
+    combined = SumAggregates(points);
+    derivation_stats_.combines.fetch_add(points.size(), std::memory_order_relaxed);
   }
 
   const bool reordered =

@@ -55,7 +55,7 @@
 ///   * whole results in a bounded sloppy-LRU cache keyed by
 ///     `QuerySpec::Fingerprint` with a full `EquivalentTo` collision guard.
 ///     An entry holds a `QueryResult` handle to one immutable, ranked
-///     answer (engine/result.h); a hit copies the handle, not the maps.
+///     answer (engine/result.h); a hit copies the handle, not the rows.
 ///     The cache is sharded by fingerprint so concurrent hits on different
 ///     shards never contend on one map mutex. Each entry is stamped with the
 ///     graph's `mutation_generation()` and the spec's `DependencyInterval()`;
@@ -193,17 +193,22 @@ class QueryEngine {
 
   /// Kind-generic execution (evolution and exploration specs included). The
   /// result is a handle to the ranked answer the result cache shares
-  /// (engine/result.h): a cache hit copies a pointer.
+  /// (engine/result.h): a cache hit copies a pointer. `executed_plan`, when
+  /// given, receives the plan the execution ran (or served from the cache
+  /// under), so a caller that renders it needs no second `Plan`.
   QueryResult ExecuteResult(const QuerySpec& spec) {
     return ExecuteResult(spec, PlanOptions{});
   }
-  QueryResult ExecuteResult(const QuerySpec& spec, const PlanOptions& options);
+  QueryResult ExecuteResult(const QuerySpec& spec, const PlanOptions& options,
+                            QueryPlan* executed_plan = nullptr);
 
-  /// One query of a batch: the spec plus the request context to attribute
-  /// into while it runs (nullptr for none). See engine/batch.h.
+  /// One query of a batch: the spec, the request context to attribute into
+  /// while it runs (nullptr for none), and where to put the plan it executed
+  /// (nullptr for nowhere). See engine/batch.h.
   struct BatchItem {
     const QuerySpec* spec = nullptr;
     obs::RequestContext* ctx = nullptr;
+    QueryPlan* plan = nullptr;
   };
 
   /// Executes `items` as one batch under a single reader lock: specs that
@@ -375,17 +380,13 @@ class QueryEngine {
 
   /// The whole execute pipeline minus the reader lock: plan, cache probe,
   /// run, fill. Callers hold `state_mutex_` shared. `folds` (optional)
-  /// routes direct-route operator folds through a batch-shared cache.
-  /// `rank_bypass = false` leaves an answer that bypasses the cache unranked
-  /// (`Execute` takes the aggregate straight back out); cached answers are
-  /// always ranked.
+  /// routes direct-route operator folds through a batch-shared cache;
+  /// `executed_plan` (optional) receives the plan.
   QueryResult ExecuteLocked(const QuerySpec& spec, const PlanOptions& options,
-                            FoldCache* folds, bool rank_bypass = true);
+                            FoldCache* folds, QueryPlan* executed_plan);
 
-  /// Computes the answer for `spec` along `plan`, ranked unless `rank` is
-  /// false (aggregate specs only).
-  QueryResult Run(const QuerySpec& spec, const QueryPlan& plan, FoldCache* folds,
-                  bool rank);
+  /// Computes the ranked answer for `spec` along `plan`.
+  QueryResult Run(const QuerySpec& spec, const QueryPlan& plan, FoldCache* folds);
   AggregateGraph RunDirect(const QuerySpec& spec, const QueryPlan& plan,
                            FoldCache* folds);
   AggregateGraph RunMaterialized(const QuerySpec& spec, const QueryPlan& plan);

@@ -1,6 +1,7 @@
 #ifndef GRAPHTEMPO_ENGINE_RESULT_H_
 #define GRAPHTEMPO_ENGINE_RESULT_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -15,26 +16,25 @@
 /// An answer is built once — where the engine computes it, or where it is
 /// reloaded from the spill tier — and is immutable from then on. It holds the
 /// result of its kind together with that result's *ranking*: the rows in
-/// wire order (engine/wire.h), as pointers into the answer's own maps, 8
-/// bytes a row. The result cache, every cache hit, every batch rider and every
-/// response writer share the one object; copying a `QueryResult` copies a
-/// pointer, never a hash map, and a response capped by `top` writes a prefix
-/// of the ranking instead of sorting again.
+/// wire order (engine/wire.h), as indices into the answer's own code-ordered
+/// rows, 4 bytes a row. The result cache, every cache hit, every batch rider
+/// and every response writer share the one object; copying a `QueryResult`
+/// copies a pointer, never the rows, and a response capped by `top` writes a
+/// prefix of the ranking instead of sorting again.
 
 namespace graphtempo::engine {
 
-/// The rows of an aggregate or evolution graph in wire order, as pointers
-/// into the graph's own maps (valid while the graph is alive and unchanged).
-/// Order: weight descending — for evolution, stability + growth + shrinkage
-/// — then tuple codes ascending (src before dst for edges), a total order.
-template <typename Graph>
+/// The rows of an aggregate or evolution answer in wire order, as indices
+/// into its code-ordered `nodes()` / `edges()`. Order: weight descending —
+/// for evolution, stability + growth + shrinkage — then code ascending, which
+/// is tuple order (src before dst for edges): a total order.
 struct RankedRows {
-  std::vector<const typename Graph::NodeMap::value_type*> nodes;
-  std::vector<const typename Graph::EdgeMap::value_type*> edges;
+  std::vector<std::uint32_t> nodes;
+  std::vector<std::uint32_t> edges;
 };
 
-RankedRows<AggregateGraph> RankRows(const AggregateGraph& graph);
-RankedRows<EvolutionAggregate> RankRows(const EvolutionAggregate& graph);
+RankedRows RankRows(const AggregateGraph& graph);
+RankedRows RankRows(const EvolutionAggregate& graph);
 
 class QueryResult {
  public:
@@ -53,40 +53,19 @@ class QueryResult {
   const EvolutionAggregate& evolution() const { return answer_->evolution; }
   const ExplorationResult& exploration() const { return answer_->exploration; }
 
-  /// The ranking of `aggregate()` / `evolution()`; empty for other kinds.
-  /// Exploration pairs need none: they are already ordered by reference time
-  /// point.
-  const RankedRows<AggregateGraph>& aggregate_rows() const {
-    return answer_->aggregate_rows;
-  }
-  const RankedRows<EvolutionAggregate>& evolution_rows() const {
-    return answer_->evolution_rows;
-  }
+  /// The ranking of `aggregate()` or `evolution()`, whichever the kind
+  /// selects; empty for exploration, whose pairs are already ordered by
+  /// reference time point.
+  const RankedRows& ranking() const { return answer_->ranking; }
 
  private:
-  friend class QueryEngine;
-
   struct Answer {
     QueryKind kind = QueryKind::kAggregate;
     AggregateGraph aggregate;
     EvolutionAggregate evolution;
     ExplorationResult exploration;
-    RankedRows<AggregateGraph> aggregate_rows;
-    RankedRows<EvolutionAggregate> evolution_rows;
-    /// Built by `Unranked`: never ranked, never shared.
-    bool unranked = false;
+    RankedRows ranking;
   };
-
-  /// `QueryEngine::Execute`'s bypass path: an aggregate the caller takes
-  /// straight back out, so it is left unranked. It is never cached or
-  /// serialized, so the handle returned here stays its only one.
-  static QueryResult Unranked(AggregateGraph aggregate);
-
-  /// The aggregate: moved out of an `Unranked` answer (its only handle is
-  /// this one), copied out of a ranked one (which the cache may share).
-  AggregateGraph TakeAggregate() &&;
-
-  explicit QueryResult(std::shared_ptr<const Answer> answer) : answer_(std::move(answer)) {}
 
   std::shared_ptr<const Answer> answer_;
 };

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <span>
 #include <string_view>
+#include <unordered_map>
 
 #include "util/check.h"
 #include "util/string_util.h"
@@ -77,29 +78,38 @@ void AppendRows(std::size_t count, std::string* out, WriteRow write_row) {
   }
 }
 
-/// Renders attribute tuples for one response. Each (attribute position,
-/// code) label is escaped and quoted the first time it appears; every later
-/// occurrence copies the cached literal.
-class TupleWriter {
+/// Renders the tuple literals of one response. Each node code's literal is
+/// rendered the first time it appears and copied after that, and within it
+/// each (attribute position, value) label is escaped once per response.
+class TupleLiterals {
  public:
-  TupleWriter(const TemporalGraph& graph, std::span<const AttrRef> attrs)
-      : graph_(graph), attrs_(attrs), labels_(attrs.size()) {}
+  TupleLiterals(const TemporalGraph& graph, std::span<const AttrRef> attrs,
+                const TupleCodec& codec)
+      : graph_(graph),
+        attrs_(attrs),
+        codec_(codec),
+        labels_(attrs.size()) {}
 
-  void Append(const AttrTuple& tuple, std::string* out) {
+  const std::string& Get(std::uint64_t code) {
+    if (code < kDenseCodes && code >= dense_.size()) dense_.resize(code + 1);
+    std::string& literal = code < kDenseCodes ? dense_[code] : sparse_[code];
+    if (!literal.empty()) return literal;
+    const AttrTuple tuple = codec_.Decode(code);
     GT_DCHECK(tuple.size() <= attrs_.size());
-    out->push_back('[');
+    literal.push_back('[');
     for (std::size_t i = 0; i < tuple.size(); ++i) {
-      if (i != 0) out->push_back(',');
-      if (tuple[i] == kNoValue) {
-        out->append("null");
-      } else {
-        out->append(Label(i, tuple[i]));
-      }
+      if (i != 0) literal.push_back(',');
+      literal.append(tuple[i] == kNoValue ? std::string_view("null")
+                                          : std::string_view(Label(i, tuple[i])));
     }
-    out->push_back(']');
+    literal.push_back(']');
+    return literal;
   }
 
  private:
+  /// Codes below this index a flat table; the rest a hash map.
+  static constexpr std::uint64_t kDenseCodes = 4096;
+
   const std::string& Label(std::size_t position, AttrValueId code) {
     std::vector<std::string>& cache = labels_[position];
     if (code >= cache.size()) cache.resize(static_cast<std::size_t>(code) + 1);
@@ -111,7 +121,10 @@ class TupleWriter {
 
   const TemporalGraph& graph_;
   std::span<const AttrRef> attrs_;
-  std::vector<std::vector<std::string>> labels_;  ///< [position][code]
+  const TupleCodec& codec_;
+  std::vector<std::vector<std::string>> labels_;  ///< [position][value]
+  std::vector<std::string> dense_;                ///< [code], code < kDenseCodes
+  std::unordered_map<std::uint64_t, std::string> sparse_;
 };
 
 void AppendWeights(Weight weight, std::string* out) {
@@ -137,61 +150,68 @@ void AppendHeader(const QueryPlan& plan, std::string* out) {
   AppendQuoted(PlanRouteName(plan.route), out);
 }
 
-/// `,"node_count":…,"edge_count":…,"nodes":[…],"edges":[…]}` for a ranked
-/// aggregate or evolution answer; `top` caps each list to a prefix.
-template <typename Graph>
+/// `,"node_count":…,"edge_count":…,"nodes":[…],"edges":[…]}` for an
+/// aggregate or evolution answer in the order of `rows`; `top` caps each
+/// list to a prefix.
+template <typename W>
 void AppendGraphBody(const TemporalGraph& graph, const QuerySpec& spec,
-                     const RankedRows<Graph>& rows, std::size_t top, std::string* out) {
+                     const CodedGraph<W>& answer, const RankedRows& rows, std::size_t top,
+                     std::string* out) {
   AppendKey("node_count", out);
   AppendInt(static_cast<std::uint64_t>(rows.nodes.size()), out);
   AppendKey("edge_count", out);
   AppendInt(static_cast<std::uint64_t>(rows.edges.size()), out);
-  TupleWriter tuples(graph, spec.attrs);
+  TupleLiterals literals(graph, spec.attrs, answer.codec());
+  const std::span<const GroupRow<W>> nodes = answer.nodes();
   AppendKey("nodes", out);
   out->push_back('[');
   AppendRows(RowLimit(top, rows.nodes.size()), out, [&](std::size_t i) {
+    const GroupRow<W>& row = nodes[rows.nodes[i]];
     out->append("{\"tuple\":");
-    tuples.Append(rows.nodes[i]->first, out);
-    AppendWeights(rows.nodes[i]->second, out);
+    out->append(literals.Get(row.code));
+    AppendWeights(row.weight, out);
     out->push_back('}');
   });
   out->push_back(']');
+  const std::uint64_t cells = answer.codec().cells();
+  const std::span<const GroupRow<W>> edges = answer.edges();
   AppendKey("edges", out);
   out->push_back('[');
   AppendRows(RowLimit(top, rows.edges.size()), out, [&](std::size_t i) {
+    const GroupRow<W>& row = edges[rows.edges[i]];
     out->append("{\"src\":");
-    tuples.Append(rows.edges[i]->first.src, out);
+    out->append(literals.Get(row.code / cells));
     out->append(",\"dst\":");
-    tuples.Append(rows.edges[i]->first.dst, out);
-    AppendWeights(rows.edges[i]->second, out);
+    out->append(literals.Get(row.code % cells));
+    AppendWeights(row.weight, out);
     out->push_back('}');
   });
   out->append("]}");
 }
 
 std::string WriteAggregate(const TemporalGraph& graph, const QuerySpec& spec,
-                           const QueryPlan& plan, const RankedRows<AggregateGraph>& rows,
-                           std::size_t top) {
+                           const QueryPlan& plan, const AggregateGraph& answer,
+                           const RankedRows& rows, std::size_t top) {
   std::string out = "{";
   AppendHeader(plan, &out);
   AppendKey("interval", &out);
   AppendQuoted(IntervalLabel(graph, spec.EvaluationInterval()), &out);
   AppendKey("semantics", &out);
   AppendQuoted(spec.semantics == AggregationSemantics::kDistinct ? "DIST" : "ALL", &out);
-  AppendGraphBody(graph, spec, rows, top, &out);
+  AppendGraphBody(graph, spec, answer, rows, top, &out);
   return out;
 }
 
 std::string WriteEvolution(const TemporalGraph& graph, const QuerySpec& spec,
-                           const QueryPlan& plan,
-                           const RankedRows<EvolutionAggregate>& rows, std::size_t top) {
+                           const QueryPlan& plan, const EvolutionAggregate& answer,
+                           const RankedRows& rows, std::size_t top) {
   std::string out = "{\"kind\":\"evolution\",";
   AppendHeader(plan, &out);
   AppendKey("old", &out);
   AppendQuoted(IntervalLabel(graph, spec.t1), &out);
   AppendKey("new", &out);
   AppendQuoted(IntervalLabel(graph, spec.t2), &out);
-  AppendGraphBody(graph, spec, rows, top, &out);
+  AppendGraphBody(graph, spec, answer, rows, top, &out);
   return out;
 }
 
@@ -535,13 +555,13 @@ std::optional<QuerySpec> BindQuerySpec(const TemporalGraph& graph,
 std::string ResultToJson(const TemporalGraph& graph, const QuerySpec& spec,
                          const QueryPlan& plan, const AggregateGraph& result,
                          std::size_t top) {
-  return WriteAggregate(graph, spec, plan, RankRows(result), top);
+  return WriteAggregate(graph, spec, plan, result, RankRows(result), top);
 }
 
 std::string EvolutionToJson(const TemporalGraph& graph, const QuerySpec& spec,
                             const QueryPlan& plan, const EvolutionAggregate& result,
                             std::size_t top) {
-  return WriteEvolution(graph, spec, plan, RankRows(result), top);
+  return WriteEvolution(graph, spec, plan, result, RankRows(result), top);
 }
 
 std::string ExplorationToJson(const TemporalGraph& graph, const QuerySpec& spec,
@@ -589,9 +609,9 @@ std::string QueryResultToJson(const TemporalGraph& graph, const QuerySpec& spec,
                               std::size_t top) {
   switch (result.kind()) {
     case QueryKind::kAggregate:
-      return WriteAggregate(graph, spec, plan, result.aggregate_rows(), top);
+      return WriteAggregate(graph, spec, plan, result.aggregate(), result.ranking(), top);
     case QueryKind::kEvolution:
-      return WriteEvolution(graph, spec, plan, result.evolution_rows(), top);
+      return WriteEvolution(graph, spec, plan, result.evolution(), result.ranking(), top);
     case QueryKind::kExplore:
       return ExplorationToJson(graph, spec, plan, result.exploration(), top);
   }

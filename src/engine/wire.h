@@ -45,8 +45,9 @@
 /// Responses are written straight into one `std::string`, without a
 /// `json::Value` tree: rows come from the answer's ranking (engine/result.h,
 /// computed once when the answer is built, so `top` writes a prefix of it),
-/// each attribute label is escaped once per response and then copied, and
-/// integers go through `std::to_chars`. A response's peak memory is therefore
+/// each node code's tuple literal is rendered once per response and then
+/// copied — an edge row is two copies and an integer — and integers go
+/// through `std::to_chars`. A response's peak memory is therefore
 /// about its body size. The DOM renderers these writers replaced live on in
 /// tests/reference_impl.h, where wire_test pins the two byte for byte.
 /// `json::Value` remains the request parser and the renderer of the small

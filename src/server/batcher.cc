@@ -26,16 +26,18 @@ obs::Counter& BatchRidersCounter() {
 }  // namespace
 
 engine::QueryResult QueryBatcher::Execute(const engine::QuerySpec& spec,
-                                          obs::RequestContext* ctx) {
+                                          obs::RequestContext* ctx,
+                                          engine::QueryPlan* plan) {
   if (window_us_ <= 0) {
     // Gathering disabled: the historical one-query-one-execution path. The
     // caller's thread-bound request context attributes as before.
-    return engine_->ExecuteResult(spec);
+    return engine_->ExecuteResult(spec, engine::QueryEngine::PlanOptions{}, plan);
   }
 
   Pending item;
   item.spec = &spec;
   item.ctx = ctx;
+  item.plan = plan;
 
   std::unique_lock<std::mutex> lock(mutex_);
   queue_.push_back(&item);
@@ -66,7 +68,7 @@ engine::QueryResult QueryBatcher::Execute(const engine::QuerySpec& spec,
   std::vector<engine::QueryEngine::BatchItem> items;
   items.reserve(batch.size());
   for (Pending* pending : batch) {
-    items.push_back({pending->spec, pending->ctx});
+    items.push_back({pending->spec, pending->ctx, pending->plan});
   }
   std::vector<engine::QueryResult> results = engine_->ExecuteBatch(items);
 
@@ -81,11 +83,12 @@ engine::QueryResult QueryBatcher::Execute(const engine::QuerySpec& spec,
 }
 
 std::optional<engine::QueryResult> QueryBatcher::TryJoinActiveWindow(
-    const engine::QuerySpec& spec, obs::RequestContext* ctx) {
+    const engine::QuerySpec& spec, obs::RequestContext* ctx, engine::QueryPlan* plan) {
   if (window_us_ <= 0) return std::nullopt;
   Pending item;
   item.spec = &spec;
   item.ctx = ctx;
+  item.plan = plan;
 
   std::unique_lock<std::mutex> lock(mutex_);
   // `leader_active_` flips false under `mutex_` at the same instant the

@@ -44,9 +44,9 @@ class QueryBatcher {
 
   /// Executes `spec`, possibly as part of a gathered batch. `ctx` (may be
   /// null) receives the engine's per-request attribution regardless of which
-  /// thread actually ran the spec.
-  engine::QueryResult Execute(const engine::QuerySpec& spec,
-                              obs::RequestContext* ctx);
+  /// thread actually ran the spec; `plan` (may be null) the plan it ran.
+  engine::QueryResult Execute(const engine::QuerySpec& spec, obs::RequestContext* ctx,
+                              engine::QueryPlan* plan = nullptr);
 
   /// Joins a gather window that is *already open* without becoming a leader:
   /// returns the batch-computed result when a leader is currently gathering,
@@ -55,13 +55,15 @@ class QueryBatcher {
   /// an in-flight batch — the gathered group is one in-flight unit, so
   /// piling onto it adds no engine concurrency.
   std::optional<engine::QueryResult> TryJoinActiveWindow(
-      const engine::QuerySpec& spec, obs::RequestContext* ctx);
+      const engine::QuerySpec& spec, obs::RequestContext* ctx,
+      engine::QueryPlan* plan = nullptr);
 
  private:
   /// One waiting query: its inputs, and the slot the leader fills.
   struct Pending {
     const engine::QuerySpec* spec = nullptr;
     obs::RequestContext* ctx = nullptr;
+    engine::QueryPlan* plan = nullptr;
     engine::QueryResult result;
     bool done = false;
   };

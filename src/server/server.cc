@@ -406,7 +406,7 @@ HttpResponse Server::HandleQuery(const HttpRequest& request) {
       engine::QueryPlan plan = engine_->Plan(*spec);
       response = HttpResponse{200, "application/json", engine::wire::PlanToJson(plan)};
     } else {
-      engine::QueryPlan plan = engine_->Plan(*spec);
+      engine::QueryPlan plan;  // the plan the execution ran: no second Plan
       std::optional<engine::QueryResult> result;
       {
         GT_SPAN("server/execute");
@@ -416,9 +416,10 @@ HttpResponse Server::HandleQuery(const HttpRequest& request) {
         // un-admitted query may still ride an open gather window — the batch
         // executes as one unit regardless of how many queries piled on.
         if (admitted) {
-          result = batcher_.Execute(*spec, obs::CurrentRequestContext());
+          result = batcher_.Execute(*spec, obs::CurrentRequestContext(), &plan);
         } else {
-          result = batcher_.TryJoinActiveWindow(*spec, obs::CurrentRequestContext());
+          result =
+              batcher_.TryJoinActiveWindow(*spec, obs::CurrentRequestContext(), &plan);
         }
       }
       if (!result.has_value()) return reject_admission();

@@ -142,8 +142,7 @@ std::size_t ExpectMatchesReference(const TemporalGraph& graph,
           const std::string context = where + ", grouping " +
                                       std::to_string(static_cast<int>(grouping)) + ", " +
                                       std::to_string(threads) + " threads";
-          EXPECT_EQ(actual.nodes(), expected.nodes()) << context;
-          EXPECT_EQ(actual.edges(), expected.edges()) << context;
+          EXPECT_EQ(actual, expected) << context;
           ++comparisons;
         };
         for (std::size_t threads : kThreadCounts) check(GroupingStrategy::kAuto, threads);

@@ -56,14 +56,10 @@ TEST(AttrTupleDeath, OverflowAborts) {
 // --- AggregateGraph container ----------------------------------------------------
 
 TEST(AggregateGraphTest, WeightsAccumulate) {
-  AggregateGraph agg;
   AttrTuple a = AttrTuple::Of({1});
   AttrTuple b = AttrTuple::Of({2});
-  agg.AddNodeWeight(a, 2);
-  agg.AddNodeWeight(a, 3);
-  agg.AddNodeWeight(b, 1);
-  agg.AddEdgeWeight(a, b, 4);
-  agg.AddEdgeWeight(a, b, 1);
+  AggregateGraph agg =
+      testing::MakeAggregate({{a, 2}, {a, 3}, {b, 1}}, {{{a, b}, 4}, {{a, b}, 1}});
   EXPECT_EQ(agg.NodeWeight(a), 5);
   EXPECT_EQ(agg.NodeWeight(b), 1);
   EXPECT_EQ(agg.NodeWeight(AttrTuple::Of({9})), 0);
@@ -310,13 +306,10 @@ TEST(MissingValueAggregationTest, PartiallyAssignedVaryingAttributeDistVsAll) {
 // --- SymmetrizeAggregate ----------------------------------------------------------
 
 TEST(SymmetrizeAggregateTest, MergesMirroredPairs) {
-  AggregateGraph agg;
   AttrTuple a = AttrTuple::Of({1});
   AttrTuple b = AttrTuple::Of({2});
-  agg.AddNodeWeight(a, 3);
-  agg.AddEdgeWeight(a, b, 4);
-  agg.AddEdgeWeight(b, a, 6);
-  agg.AddEdgeWeight(a, a, 2);  // self-pair untouched
+  AggregateGraph agg = testing::MakeAggregate(
+      {{a, 3}}, {{{a, b}, 4}, {{b, a}, 6}, {{a, a}, 2}});  // self-pair untouched
   AggregateGraph sym = SymmetrizeAggregate(agg);
   EXPECT_EQ(sym.EdgeWeight(a, b), 10);
   EXPECT_EQ(sym.EdgeWeight(b, a), 0);

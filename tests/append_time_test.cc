@@ -283,13 +283,15 @@ std::map<std::string, Weight> Named(const TemporalGraph& graph,
                                     const std::vector<AttrRef>& attrs,
                                     const AggregateGraph& aggregate) {
   std::map<std::string, Weight> named;
-  for (const auto& [tuple, weight] : aggregate.nodes()) {
+  aggregate.ForEachNode([&](const AttrTuple& tuple, const auto& weight) {
     named["node " + FormatTuple(graph, attrs, tuple)] = weight;
-  }
-  for (const auto& [pair, weight] : aggregate.edges()) {
+  });
+  aggregate.ForEachEdge(
+      [&](const AttrTuple& src, const AttrTuple& dst, const auto& weight) {
+    const AttrTuplePair pair{src, dst};
     named["edge " + FormatTuple(graph, attrs, pair.src) + " -> " +
           FormatTuple(graph, attrs, pair.dst)] = weight;
-  }
+  });
   return named;
 }
 
@@ -300,13 +302,14 @@ std::map<std::string, std::vector<Weight>> Named(const TemporalGraph& graph,
   auto weights = [](const EvolutionWeights& w) {
     return std::vector<Weight>{w.stability, w.growth, w.shrinkage};
   };
-  for (const auto& [tuple, w] : aggregate.nodes()) {
+  aggregate.ForEachNode([&](const AttrTuple& tuple, const auto& w) {
     named["node " + FormatTuple(graph, attrs, tuple)] = weights(w);
-  }
-  for (const auto& [pair, w] : aggregate.edges()) {
+  });
+  aggregate.ForEachEdge([&](const AttrTuple& src, const AttrTuple& dst, const auto& w) {
+    const AttrTuplePair pair{src, dst};
     named["edge " + FormatTuple(graph, attrs, pair.src) + " -> " +
           FormatTuple(graph, attrs, pair.dst)] = weights(w);
-  }
+  });
   return named;
 }
 

@@ -42,16 +42,15 @@ using engine::QuerySpec;
 using engine::TemporalOperatorKind;
 using testing::BuildRandomGraph;
 
-/// Kind-aware equality. EvolutionAggregate and ExplorationResult have no
-/// operator== of their own, but their members compare exactly.
+/// Kind-aware equality. ExplorationResult has no operator== of its own, but
+/// its members compare exactly.
 bool ResultsEqual(const QueryResult& a, const QueryResult& b) {
   if (a.kind() != b.kind()) return false;
   switch (a.kind()) {
     case QueryKind::kAggregate:
       return a.aggregate() == b.aggregate();
     case QueryKind::kEvolution:
-      return a.evolution().nodes() == b.evolution().nodes() &&
-             a.evolution().edges() == b.evolution().edges();
+      return a.evolution() == b.evolution();
     case QueryKind::kExplore:
       return a.exploration().pairs == b.exploration().pairs &&
              a.exploration().evaluations == b.exploration().evaluations;

@@ -110,9 +110,8 @@ void ExpectMatchesReference(const TemporalGraph& graph,
       for (const std::string& name : names) where += " " + name;
       where += ", seed " + std::to_string(seed) + ", " + std::to_string(threads) +
                " threads, filter " + (filter != nullptr ? "on" : "off");
-      EXPECT_EQ(actual.nodes(), expected.nodes()) << where;
-      EXPECT_EQ(actual.edges(), expected.edges()) << where;
-      // Equal maps serialize equally; one rendering per interval pair (the
+      EXPECT_EQ(actual, expected) << where;
+      // Equal answers serialize equally; one rendering per interval pair (the
       // most chunked run) keeps the suite fast under the sanitizers.
       if (threads == kThreadCounts[std::size(kThreadCounts) - 1]) {
         EXPECT_EQ(EvolutionJson(graph, t_old, t_new, attrs, actual), expected_json)
@@ -201,11 +200,11 @@ TEST_F(EvolutionKernelTest, RankEventGroupsMatchesReferenceRanking) {
        {EventType::kStability, EventType::kGrowth, EventType::kShrinkage}) {
     const TopEventGroups top = RankEventGroups(graph, t_old, t_new, attrs, event, 1000);
     std::size_t node_groups = 0, edge_groups = 0;
-    for (const auto& [tuple, weights] : reference.nodes()) {
-      node_groups += weights.ForEvent(event) > 0;
+    for (const auto& row : reference.nodes()) {
+      node_groups += row.weight.ForEvent(event) > 0;
     }
-    for (const auto& [pair, weights] : reference.edges()) {
-      edge_groups += weights.ForEvent(event) > 0;
+    for (const auto& row : reference.edges()) {
+      edge_groups += row.weight.ForEvent(event) > 0;
     }
     EXPECT_EQ(top.nodes.size(), node_groups);
     EXPECT_EQ(top.edges.size(), edge_groups);

@@ -165,9 +165,10 @@ TEST(IntegrationTest, ContactPipelineMeasuresAndEvolution) {
     AggregateGraph agg =
         Aggregate(coarse, view, klass, AggregationSemantics::kDistinct);
     Weight cross = 0;
-    for (const auto& [pair, weight] : agg.edges()) {
+    agg.ForEachEdge([&](const AttrTuple& src, const AttrTuple& dst, const auto& weight) {
+      const AttrTuplePair pair{src, dst};
       if (!(pair.src == pair.dst)) cross += weight;
-    }
+    });
     return cross;
   };
   Weight before = cross_pairs_at(0);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/operators.h"
+#include "reference_impl.h"
 #include "test_graphs.h"
 
 namespace graphtempo {
@@ -14,12 +15,12 @@ using testing::BuildRandomGraph;
 // --- RollUp (D-distributivity, Section 4.3) --------------------------------------
 
 TEST(RollUpTest, ProjectsAndSumsWeights) {
-  AggregateGraph fine;
-  fine.AddNodeWeight(AttrTuple::Of({1, 10}), 2);
-  fine.AddNodeWeight(AttrTuple::Of({1, 11}), 3);
-  fine.AddNodeWeight(AttrTuple::Of({2, 10}), 5);
-  fine.AddEdgeWeight(AttrTuple::Of({1, 10}), AttrTuple::Of({2, 10}), 4);
-  fine.AddEdgeWeight(AttrTuple::Of({1, 11}), AttrTuple::Of({2, 10}), 6);
+  AggregateGraph fine = testing::MakeAggregate(
+      {{AttrTuple::Of({1, 10}), 2},
+       {AttrTuple::Of({1, 11}), 3},
+       {AttrTuple::Of({2, 10}), 5}},
+      {{{AttrTuple::Of({1, 10}), AttrTuple::Of({2, 10})}, 4},
+       {{AttrTuple::Of({1, 11}), AttrTuple::Of({2, 10})}, 6}});
 
   const std::size_t keep_first[] = {0};
   AggregateGraph coarse = RollUp(fine, keep_first);
@@ -31,17 +32,17 @@ TEST(RollUpTest, ProjectsAndSumsWeights) {
 }
 
 TEST(RollUpTest, CanReorderAttributes) {
-  AggregateGraph fine;
-  fine.AddNodeWeight(AttrTuple::Of({1, 10}), 2);
+  AggregateGraph fine = testing::MakeAggregate(
+      {{AttrTuple::Of({1, 10}), 2}});
   const std::size_t swapped[] = {1, 0};
   AggregateGraph coarse = RollUp(fine, swapped);
   EXPECT_EQ(coarse.NodeWeight(AttrTuple::Of({10, 1})), 2);
 }
 
 TEST(RollUpTest, IdentityKeepsEverything) {
-  AggregateGraph fine;
-  fine.AddNodeWeight(AttrTuple::Of({1, 10}), 2);
-  fine.AddNodeWeight(AttrTuple::Of({2, 20}), 7);
+  AggregateGraph fine = testing::MakeAggregate(
+      {{AttrTuple::Of({1, 10}), 2},
+       {AttrTuple::Of({2, 20}), 7}});
   const std::size_t all[] = {0, 1};
   EXPECT_EQ(RollUp(fine, all), fine);
 }
@@ -91,8 +92,8 @@ TEST(RollUpDeath, EmptyKeepListAborts) {
 }
 
 TEST(RollUpDeath, PositionOutOfRangeAborts) {
-  AggregateGraph fine;
-  fine.AddNodeWeight(AttrTuple::Of({1}), 1);
+  AggregateGraph fine = testing::MakeAggregate(
+      {{AttrTuple::Of({1}), 1}});
   const std::size_t bad[] = {2};
   EXPECT_DEATH(RollUp(fine, bad), "out of tuple range");
 }
@@ -100,8 +101,8 @@ TEST(RollUpDeath, PositionOutOfRangeAborts) {
 TEST(RollUpDeath, DuplicatePositionAborts) {
   // Regression: a duplicated keep position used to pass through silently and
   // double-report one attribute instead of merging any groups.
-  AggregateGraph fine;
-  fine.AddNodeWeight(AttrTuple::Of({1, 10}), 2);
+  AggregateGraph fine = testing::MakeAggregate(
+      {{AttrTuple::Of({1, 10}), 2}});
   const std::size_t duplicate[] = {0, 0};
   EXPECT_DEATH(RollUp(fine, duplicate), "duplicate roll-up position");
   const std::size_t duplicate_apart[] = {1, 0, 1};
@@ -111,8 +112,9 @@ TEST(RollUpDeath, DuplicatePositionAborts) {
 TEST(RollUpDeath, OutOfRangeAbortsOnEdgeOnlyAggregates) {
   // Regression: the arity check must also fire when the aggregate has edge
   // tuples but no node tuples.
-  AggregateGraph fine;
-  fine.AddEdgeWeight(AttrTuple::Of({1, 10}), AttrTuple::Of({2, 10}), 3);
+  AggregateGraph fine = testing::MakeAggregate(
+      {},
+      {{{AttrTuple::Of({1, 10}), AttrTuple::Of({2, 10})}, 3}});
   const std::size_t bad[] = {0, 2};
   EXPECT_DEATH(RollUp(fine, bad), "out of tuple range");
 }

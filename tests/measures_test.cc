@@ -145,10 +145,12 @@ TEST_F(EdgeMeasureTest, CountMatchesAllSemanticsAggregation) {
                                                *graph.FindEdgeAttribute("w"),
                                                MeasureFunction::kCount);
   AggregateGraph all = Aggregate(graph, view, group, AggregationSemantics::kAll);
-  for (const auto& [pair, weight_value] : all.edges()) {
+  all.ForEachEdge(
+      [&](const AttrTuple& src, const AttrTuple& dst, const auto& weight_value) {
+    const AttrTuplePair pair{src, dst};
     ASSERT_TRUE(counts.count(pair));
     EXPECT_DOUBLE_EQ(counts.at(pair).value, static_cast<double>(weight_value));
-  }
+  });
 }
 
 TEST(EdgeMeasureDeath, NonNumericValueAborts) {

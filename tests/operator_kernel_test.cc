@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/aggregation.h"
@@ -132,6 +133,66 @@ TEST_F(OperatorKernelTest, OperatorsMatchRowScanOnPaperExample) {
                  "shrinkage", 0, 1);
   ExpectSameView(DifferenceOp(graph, t2, t01), DifferenceOpRowScan(graph, t2, t01),
                  "growth", 0, 1);
+}
+
+/// A ring of `survivors` nodes present at both t0 and t1, plus `leavers`
+/// nodes present only at t0. Ring edges (i, i + 1) exist only at t0, so
+/// DifferenceOp(t0, t1) reaches every survivor through its first edges; with
+/// `survivor_edges` false the t0-only edges join leavers alone instead.
+TemporalGraph BuildSurvivorGraph(std::size_t survivors, std::size_t leavers,
+                                 bool survivor_edges) {
+  TemporalGraph graph({"t0", "t1"});
+  for (std::size_t i = 0; i < survivors + leavers; ++i) {
+    const NodeId n = graph.AddNode("n" + std::to_string(i));
+    graph.SetNodePresent(n, 0);
+    if (i < survivors) graph.SetNodePresent(n, 1);
+  }
+  auto edge_at_t0 = [&](std::size_t a, std::size_t b) {
+    const EdgeId e = graph.GetOrAddEdge(static_cast<NodeId>(a), static_cast<NodeId>(b));
+    graph.SetEdgePresent(e, 0);
+  };
+  if (survivor_edges) {
+    for (std::size_t i = 0; i < survivors; ++i) edge_at_t0(i, (i + 1) % survivors);
+  }
+  for (std::size_t i = 0; i + 1 < leavers; ++i) {
+    edge_at_t0(survivors + i, survivors + i + 1);
+  }
+  // A survivor pair still connected at t1: not a difference edge.
+  const EdgeId stable = graph.GetOrAddEdge(0, 1);
+  graph.SetEdgePresent(stable, 0);
+  graph.SetEdgePresent(stable, 1);
+  return graph;
+}
+
+TEST_F(OperatorKernelTest, DifferenceMarksEverySurvivorEarly) {
+  // The survivor ring comes first among the difference edges: the endpoint
+  // walk can stop after it, with the leaver chain still unread.
+  const TemporalGraph graph = BuildSurvivorGraph(70, 500, /*survivor_edges=*/true);
+  const IntervalSet t0 = IntervalSet::Point(2, 0);
+  const IntervalSet t1 = IntervalSet::Point(2, 1);
+  for (std::size_t threads : kThreadCounts) {
+    SetParallelism(threads);
+    const GraphView view = DifferenceOp(graph, t0, t1);
+    ExpectSameView(view, DifferenceOpRowScan(graph, t0, t1), "all survivors marked", 0,
+                   threads);
+    EXPECT_EQ(view.nodes.size(), graph.num_nodes()) << threads << " threads";
+  }
+}
+
+TEST_F(OperatorKernelTest, DifferenceWithNoSurvivorEndpoint) {
+  // Survivors exist, but no difference edge touches one: only the leavers
+  // join the view.
+  const TemporalGraph graph = BuildSurvivorGraph(70, 500, /*survivor_edges=*/false);
+  const IntervalSet t0 = IntervalSet::Point(2, 0);
+  const IntervalSet t1 = IntervalSet::Point(2, 1);
+  for (std::size_t threads : kThreadCounts) {
+    SetParallelism(threads);
+    const GraphView view = DifferenceOp(graph, t0, t1);
+    ExpectSameView(view, DifferenceOpRowScan(graph, t0, t1), "no survivor endpoint", 0,
+                   threads);
+    EXPECT_EQ(view.nodes.size(), 500u) << threads << " threads";
+    EXPECT_EQ(view.nodes.front(), NodeId{70}) << threads << " threads";
+  }
 }
 
 /// The kernels must keep working after the graph grows — the incremental

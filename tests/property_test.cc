@@ -56,12 +56,14 @@ TEST_P(PropertyTest, UnionAllWeightsAreMonotone) {
           UnionOp(graph_, base, IntervalSet::Range(n_, 1, static_cast<TimeId>(end + 1)));
       AggregateGraph next_agg =
           Aggregate(graph_, next, attrs, AggregationSemantics::kAll);
-      for (const auto& [tuple, weight] : prev_agg.nodes()) {
+      prev_agg.ForEachNode([&](const AttrTuple& tuple, const auto& weight) {
         EXPECT_GE(next_agg.NodeWeight(tuple), weight);
-      }
-      for (const auto& [pair, weight] : prev_agg.edges()) {
+      });
+      prev_agg.ForEachEdge(
+          [&](const AttrTuple& src, const AttrTuple& dst, const auto& weight) {
+        const AttrTuplePair pair{src, dst};
         EXPECT_GE(next_agg.EdgeWeight(pair.src, pair.dst), weight);
-      }
+      });
     }
   }
 }
@@ -137,12 +139,13 @@ TEST_P(PropertyTest, DistNeverExceedsAll) {
                            IntervalSet::Range(n_, 4, 7));
   AggregateGraph dist = Aggregate(graph_, view, attrs, AggregationSemantics::kDistinct);
   AggregateGraph all = Aggregate(graph_, view, attrs, AggregationSemantics::kAll);
-  for (const auto& [tuple, weight] : dist.nodes()) {
+  dist.ForEachNode([&](const AttrTuple& tuple, const auto& weight) {
     EXPECT_LE(weight, all.NodeWeight(tuple));
-  }
-  for (const auto& [pair, weight] : dist.edges()) {
+  });
+  dist.ForEachEdge([&](const AttrTuple& src, const AttrTuple& dst, const auto& weight) {
+    const AttrTuplePair pair{src, dst};
     EXPECT_LE(weight, all.EdgeWeight(pair.src, pair.dst));
-  }
+  });
 }
 
 TEST_P(PropertyTest, AggregationIsInsensitiveToAttributeOrderUpToPermutation) {
@@ -174,16 +177,18 @@ TEST_P(PropertyTest, EvolutionTransitionWeightsAreConsistent) {
   AggregateGraph new_agg =
       Aggregate(graph_, new_view, attrs, AggregationSemantics::kDistinct);
 
-  for (const auto& [tuple, weights] : evolution.nodes()) {
+  evolution.ForEachNode([&](const AttrTuple& tuple, const auto& weights) {
     EXPECT_EQ(weights.stability + weights.shrinkage, old_agg.NodeWeight(tuple));
     EXPECT_EQ(weights.stability + weights.growth, new_agg.NodeWeight(tuple));
-  }
-  for (const auto& [pair, weights] : evolution.edges()) {
+  });
+  evolution.ForEachEdge(
+      [&](const AttrTuple& src, const AttrTuple& dst, const auto& weights) {
+    const AttrTuplePair pair{src, dst};
     EXPECT_EQ(weights.stability + weights.shrinkage,
               old_agg.EdgeWeight(pair.src, pair.dst));
     EXPECT_EQ(weights.stability + weights.growth,
               new_agg.EdgeWeight(pair.src, pair.dst));
-  }
+  });
 }
 
 // --- Exploration invariants ---------------------------------------------------------------

@@ -4,12 +4,14 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <set>
 #include <span>
 #include <string>
 #include <type_traits>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -26,15 +28,18 @@
 /// Literal, definition-by-definition reference implementations of the
 /// paper's operators and aggregation, written for obviousness rather than
 /// speed: τ as std::set<TimeId>, set algebra spelled out, no bit tricks, no
-/// fast paths. The differential test suites (`reference_test.cc`,
-/// `aggregation_kernel_test.cc`, `evolution_kernel_test.cc`,
-/// `exploration_kernel_test.cc`, `wire_test.cc`)
-/// check the optimized library against these on randomized graphs.
+/// fast paths. Answers are built as tuple-keyed maps (`RefGroups`), with
+/// tuple-keyed `RollUp`, symmetrization and weight sums beside them. The differential
+/// test suites (`reference_test.cc`, `aggregation_kernel_test.cc`,
+/// `answer_kernel_test.cc`, `evolution_kernel_test.cc`,
+/// `exploration_kernel_test.cc`, `wire_test.cc`) check the optimized
+/// library against these on randomized graphs.
 ///
 /// The last section holds the reference response renderers: the query
-/// service's JSON bodies built as a `json::Value` tree from rows copied out
-/// of the result maps and sorted, then serialized — the wire format by
-/// definition, against which the library's direct writers are pinned.
+/// service's JSON bodies built as a `json::Value` tree from the answer's
+/// groups decoded into tuple-keyed maps and sorted by tuple, then
+/// serialized — the wire format by definition, against which the library's
+/// direct writers are pinned.
 
 namespace graphtempo::testing {
 
@@ -149,6 +154,111 @@ inline GraphView RefDifference(const TemporalGraph& graph, const IntervalSet& t1
   return view;
 }
 
+// --- Tuple-keyed answers ------------------------------------------------------------
+
+/// An answer as tuple-keyed weights: the definition-level form the
+/// library's code-ordered rows (CodedGraph) are checked against.
+template <typename W>
+struct RefGroups {
+  std::unordered_map<AttrTuple, W, AttrTupleHash> nodes;
+  std::unordered_map<AttrTuplePair, W, AttrTuplePairHash> edges;
+};
+
+/// `groups` as a library answer, under the numbered codec of its tuples.
+template <typename Graph, typename W>
+Graph ToCodedGraph(const RefGroups<W>& groups) {
+  std::vector<AttrTuple> tuples;
+  for (const auto& [tuple, weight] : groups.nodes) tuples.push_back(tuple);
+  for (const auto& [pair, weight] : groups.edges) {
+    tuples.push_back(pair.src);
+    tuples.push_back(pair.dst);
+  }
+  TupleCodec codec = TupleCodec::Numbered(tuples);
+  std::vector<GroupRow<W>> nodes, edges;
+  for (const auto& [tuple, weight] : groups.nodes) {
+    nodes.push_back({*codec.Encode(tuple), weight});
+  }
+  for (const auto& [pair, weight] : groups.edges) {
+    const std::uint64_t code =
+        *codec.Encode(pair.src) * codec.cells() + *codec.Encode(pair.dst);
+    edges.push_back({code, weight});
+  }
+  auto by_code = [](const GroupRow<W>& a, const GroupRow<W>& b) {
+    return a.code < b.code;
+  };
+  std::sort(nodes.begin(), nodes.end(), by_code);
+  std::sort(edges.begin(), edges.end(), by_code);
+  return Graph(std::move(codec), std::move(nodes), std::move(edges));
+}
+
+/// A hand-built aggregate: node and edge weights by tuple (repeats sum).
+inline AggregateGraph MakeAggregate(
+    std::initializer_list<std::pair<AttrTuple, Weight>> nodes,
+    std::initializer_list<std::pair<AttrTuplePair, Weight>> edges = {}) {
+  RefGroups<Weight> groups;
+  for (const auto& [tuple, weight] : nodes) groups.nodes[tuple] += weight;
+  for (const auto& [pair, weight] : edges) groups.edges[pair] += weight;
+  return ToCodedGraph<AggregateGraph>(groups);
+}
+
+/// An answer's groups, tuple-keyed (decoded through its codec).
+template <typename W>
+RefGroups<W> ToRefGroups(const CodedGraph<W>& graph) {
+  RefGroups<W> groups;
+  graph.ForEachNode([&](const AttrTuple& tuple, const W& weight) {
+    groups.nodes[tuple] = weight;
+  });
+  graph.ForEachEdge([&](const AttrTuple& src, const AttrTuple& dst, const W& weight) {
+    groups.edges[AttrTuplePair{src, dst}] = weight;
+  });
+  return groups;
+}
+
+/// `RollUp` on tuples: project every tuple to `keep`, sum by projection.
+inline AggregateGraph RefRollUp(const AggregateGraph& aggregate,
+                                std::span<const std::size_t> keep) {
+  auto project = [&](const AttrTuple& tuple) {
+    AttrTuple kept;
+    for (std::size_t position : keep) kept.Append(tuple[position]);
+    return kept;
+  };
+  RefGroups<Weight> groups;
+  aggregate.ForEachNode([&](const AttrTuple& tuple, Weight weight) {
+    groups.nodes[project(tuple)] += weight;
+  });
+  aggregate.ForEachEdge([&](const AttrTuple& src, const AttrTuple& dst, Weight weight) {
+    groups.edges[AttrTuplePair{project(src), project(dst)}] += weight;
+  });
+  return ToCodedGraph<AggregateGraph>(groups);
+}
+
+/// `SymmetrizeAggregate` on tuples: (a, b) and (b, a) sum under the lower
+/// tuple first.
+inline AggregateGraph RefSymmetrize(const AggregateGraph& aggregate) {
+  RefGroups<Weight> groups;
+  aggregate.ForEachNode([&](const AttrTuple& tuple, Weight weight) {
+    groups.nodes[tuple] += weight;
+  });
+  aggregate.ForEachEdge([&](const AttrTuple& src, const AttrTuple& dst, Weight weight) {
+    groups.edges[dst < src ? AttrTuplePair{dst, src} : AttrTuplePair{src, dst}] += weight;
+  });
+  return ToCodedGraph<AggregateGraph>(groups);
+}
+
+/// `SumAggregates` on tuples: the weight-sum per tuple / tuple pair.
+inline AggregateGraph RefSumAggregates(std::span<const AggregateGraph> parts) {
+  RefGroups<Weight> groups;
+  for (const AggregateGraph& part : parts) {
+    part.ForEachNode([&](const AttrTuple& tuple, Weight weight) {
+      groups.nodes[tuple] += weight;
+    });
+    part.ForEachEdge([&](const AttrTuple& src, const AttrTuple& dst, Weight weight) {
+      groups.edges[AttrTuplePair{src, dst}] += weight;
+    });
+  }
+  return ToCodedGraph<AggregateGraph>(groups);
+}
+
 /// Def 2.6 / Algorithm 2, literal form: unpivot every (entity, time)
 /// appearance within the view interval, deduplicate per entity for DIST,
 /// group-count. std::set keyed by value vectors — slow and obvious. With a
@@ -158,7 +268,7 @@ inline AggregateGraph RefAggregate(const TemporalGraph& graph, const GraphView& 
                                    const std::vector<AttrRef>& attrs,
                                    AggregationSemantics semantics,
                                    const NodeTimeFilter* filter = nullptr) {
-  AggregateGraph result;
+  RefGroups<Weight> result;
   std::set<TimeId> interval = ToSet(view.times);
 
   auto tuple_at = [&](NodeId n, TimeId t) {
@@ -181,7 +291,7 @@ inline AggregateGraph RefAggregate(const TemporalGraph& graph, const GraphView& 
       if (semantics == AggregationSemantics::kDistinct) {
         if (!seen.insert(tuple).second) continue;
       }
-      result.AddNodeWeight(to_attr_tuple(tuple), 1);
+      result.nodes[to_attr_tuple(tuple)] += 1;
     }
   }
   for (EdgeId e : view.edges) {
@@ -194,10 +304,11 @@ inline AggregateGraph RefAggregate(const TemporalGraph& graph, const GraphView& 
       if (semantics == AggregationSemantics::kDistinct) {
         if (!seen.insert(pair).second) continue;
       }
-      result.AddEdgeWeight(to_attr_tuple(pair.first), to_attr_tuple(pair.second), 1);
+      const AttrTuplePair key{to_attr_tuple(pair.first), to_attr_tuple(pair.second)};
+      ++result.edges[key];
     }
   }
-  return result;
+  return ToCodedGraph<AggregateGraph>(result);
 }
 
 // --- Evolution (Def 2.7, Fig 4b) ----------------------------------------------------
@@ -259,7 +370,7 @@ inline EvolutionAggregate RefAggregateEvolution(const TemporalGraph& graph,
                                                 const IntervalSet& t_new,
                                                 std::span<const AttrRef> attrs,
                                                 const NodeTimeFilter* filter = nullptr) {
-  EvolutionAggregate result;
+  RefGroups<EvolutionWeights> result;
   for (NodeId n = 0; n < graph.num_nodes(); ++n) {
     auto tuple_at = [&](TimeId t) -> std::optional<AttrTuple> {
       if (filter != nullptr && !(*filter)(n, t)) return std::nullopt;
@@ -271,7 +382,7 @@ inline EvolutionAggregate RefAggregateEvolution(const TemporalGraph& graph,
         RefDistinctTuplesIn<AttrTuple>(graph.node_presence(), n, t_new, tuple_at);
     RefClassifyTransitions<AttrTuple>(
         old_tuples, new_tuples, [&](const AttrTuple& tuple, EventType event) {
-          RefAdd(result.MutableNodeWeights(tuple), event, 1);
+          RefAdd(result.nodes[tuple], event, 1);
         });
   }
   for (EdgeId e = 0; e < graph.num_edges(); ++e) {
@@ -288,10 +399,10 @@ inline EvolutionAggregate RefAggregateEvolution(const TemporalGraph& graph,
         RefDistinctTuplesIn<AttrTuplePair>(graph.edge_presence(), e, t_new, pair_at);
     RefClassifyTransitions<AttrTuplePair>(
         old_pairs, new_pairs, [&](const AttrTuplePair& pair, EventType event) {
-          RefAdd(result.MutableEdgeWeights(pair), event, 1);
+          RefAdd(result.edges[pair], event, 1);
         });
   }
-  return result;
+  return ToCodedGraph<EvolutionAggregate>(result);
 }
 
 /// Aggregates the evolution graph component-wise (paper: "considering each
@@ -305,18 +416,18 @@ inline EvolutionAggregate AggregateEvolutionComponents(const TemporalGraph& grap
                                                        std::span<const AttrRef> attrs,
                                                        const AggregationOptions& options) {
   EvolutionGraph evolution = MakeEvolutionGraph(graph, t_old, t_new);
-  EvolutionAggregate result;
+  RefGroups<EvolutionWeights> result;
   for (EventType event :
        {EventType::kStability, EventType::kGrowth, EventType::kShrinkage}) {
     AggregateGraph component = Aggregate(graph, evolution.ForEvent(event), attrs, options);
-    for (const auto& [tuple, weight] : component.nodes()) {
-      RefAdd(result.MutableNodeWeights(tuple), event, weight);
-    }
-    for (const auto& [pair, weight] : component.edges()) {
-      RefAdd(result.MutableEdgeWeights(pair), event, weight);
-    }
+    component.ForEachNode([&](const AttrTuple& tuple, Weight weight) {
+      RefAdd(result.nodes[tuple], event, weight);
+    });
+    component.ForEachEdge([&](const AttrTuple& src, const AttrTuple& dst, Weight weight) {
+      RefAdd(result.edges[AttrTuplePair{src, dst}], event, weight);
+    });
   }
-  return result;
+  return ToCodedGraph<EvolutionAggregate>(result);
 }
 
 // --- Exploration (Section 3, Table 1) -----------------------------------------
@@ -501,7 +612,7 @@ inline std::string RefIntervalLabel(const TemporalGraph& graph,
 }
 
 /// Copies `map`'s rows and sorts them by `weight_of` descending, then tuple
-/// codes ascending.
+/// codes ascending (kNoValue, the largest code, last).
 template <typename Map, typename WeightOf>
 std::vector<std::pair<typename Map::key_type, typename Map::mapped_type>> RefSortedRows(
     const Map& map, WeightOf weight_of) {
@@ -531,8 +642,9 @@ inline std::string RefResultToJson(const TemporalGraph& graph, const engine::Que
                                    const engine::QueryPlan& plan,
                                    const AggregateGraph& result, std::size_t top) {
   auto weight = [](Weight w) { return w; };
-  const auto nodes = RefSortedRows(result.nodes(), weight);
-  const auto edges = RefSortedRows(result.edges(), weight);
+  const RefGroups<Weight> groups = ToRefGroups(result);
+  const auto nodes = RefSortedRows(groups.nodes, weight);
+  const auto edges = RefSortedRows(groups.edges, weight);
 
   json::Value response = json::Value::Object();
   response.Set("fingerprint", json::Value::String(RefFingerprintHex(plan.fingerprint)));
@@ -572,8 +684,9 @@ inline std::string RefEvolutionToJson(const TemporalGraph& graph,
                                       const engine::QueryPlan& plan,
                                       const EvolutionAggregate& result, std::size_t top) {
   auto total = [](const EvolutionWeights& w) { return w.stability + w.growth + w.shrinkage; };
-  const auto nodes = RefSortedRows(result.nodes(), total);
-  const auto edges = RefSortedRows(result.edges(), total);
+  const RefGroups<EvolutionWeights> groups = ToRefGroups(result);
+  const auto nodes = RefSortedRows(groups.nodes, total);
+  const auto edges = RefSortedRows(groups.edges, total);
 
   json::Value response = json::Value::Object();
   response.Set("kind", json::Value::String("evolution"));

@@ -570,6 +570,41 @@ TEST_F(ServerTest, CrlfTerminatedIngestBodyCreatesCleanLabels) {
   EXPECT_EQ(response.status, 200) << response.body;
 }
 
+// One HTTP query plans once: the server writes the plan its execution ran
+// instead of planning again. The cost planner counts every aggregate plan in
+// `engine/cost_plan`, so the counter's delta per request is the plan count —
+// on a miss, on a cache hit, through a batch window, and for `explain`.
+TEST(ServerPlanTest, OneQueryPlansOnce) {
+  TemporalGraph graph = graphtempo::testing::BuildPaperGraph();
+  engine::QueryEngine::Config engine_config;
+  engine_config.planner = engine::PlannerMode::kCost;
+  engine::QueryEngine engine(&graph, engine_config);
+  for (std::int64_t window_us : {std::int64_t{0}, std::int64_t{500}}) {
+    ServerConfig config;
+    config.batch_window_us = window_us;
+    Server server(&graph, &engine, config);
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+    auto plans_for = [&](const std::string& body) {
+      const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
+      std::optional<HttpResponse> response =
+          HttpFetch("127.0.0.1", server.port(), "POST", "/query", body, &error);
+      EXPECT_TRUE(response.has_value() && response->status == 200) << error;
+      const obs::MetricsSnapshot after = obs::Registry::Instance().Snapshot();
+      return after.CounterValue("engine/cost_plan") -
+             before.CounterValue("engine/cost_plan");
+    };
+    const std::string query = R"({"op":"union","t1":"t0","t2":")" +
+                              std::string(window_us == 0 ? "t1" : "t2") +
+                              R"(","attrs":["gender"]})";
+    EXPECT_EQ(plans_for(query), 1u) << "miss, window " << window_us;
+    EXPECT_EQ(plans_for(query), 1u) << "cache hit, window " << window_us;
+    EXPECT_EQ(plans_for(R"({"t1":"t0","attrs":["gender"],"explain":true})"), 1u)
+        << "explain, window " << window_us;
+    server.Shutdown();
+  }
+}
+
 TEST(IngestParseTest, ParseIngestLineStripsCarriageReturn) {
   std::string error;
   std::optional<IngestRecord> record = ParseIngestLine("t t9\r", &error);

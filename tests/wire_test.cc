@@ -405,12 +405,15 @@ std::vector<QuerySpec> AggregateSpecs(const TemporalGraph& graph) {
   return specs;
 }
 
-/// True when two adjacent rows of `rows` tie on `weight_of`, i.e. the order
-/// between them was decided by tuple codes.
-template <typename Rows, typename WeightOf>
-bool HasTie(const Rows& rows, WeightOf weight_of) {
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    if (weight_of(rows[i - 1]->second) == weight_of(rows[i]->second)) return true;
+/// True when two adjacent rows of `ranking` (indices into `rows`) tie on
+/// `weight_of`, i.e. the order between them was decided by tuple codes.
+template <typename W, typename WeightOf>
+bool HasTie(std::span<const GroupRow<W>> rows, const std::vector<std::uint32_t>& ranking,
+            WeightOf weight_of) {
+  for (std::size_t i = 1; i < ranking.size(); ++i) {
+    if (weight_of(rows[ranking[i - 1]].weight) == weight_of(rows[ranking[i]].weight)) {
+      return true;
+    }
   }
   return false;
 }
@@ -439,8 +442,9 @@ TEST_F(WireDifferentialTest, AggregateWriterMatchesReference) {
       const QueryResult hit = engine.ExecuteResult(spec);
       ASSERT_EQ(engine.cache_stats().hits, before.hits + 1) << spec.ToString(graph);
       const AggregateGraph& aggregate = computed.aggregate();
-      saw_tie |= HasTie(computed.aggregate_rows().nodes, [](Weight w) { return w; }) ||
-                 HasTie(computed.aggregate_rows().edges, [](Weight w) { return w; });
+      auto weight = [](Weight w) { return w; };
+      saw_tie |= HasTie(aggregate.nodes(), computed.ranking().nodes, weight) ||
+                 HasTie(aggregate.edges(), computed.ranking().edges, weight);
       for (std::size_t top : TopsAround({aggregate.NodeCount(), aggregate.EdgeCount()})) {
         const std::string expected =
             graphtempo::testing::RefResultToJson(graph, spec, plan, aggregate, top);
@@ -481,10 +485,9 @@ TEST_F(WireDifferentialTest, EvolutionWriterMatchesReference) {
       auto total = [](const EvolutionWeights& w) {
         return w.stability + w.growth + w.shrinkage;
       };
-      saw_tie |= HasTie(computed.evolution_rows().nodes, total) ||
-                 HasTie(computed.evolution_rows().edges, total);
-      for (std::size_t top :
-           TopsAround({evolution.nodes().size(), evolution.edges().size()})) {
+      saw_tie |= HasTie(evolution.nodes(), computed.ranking().nodes, total) ||
+                 HasTie(evolution.edges(), computed.ranking().edges, total);
+      for (std::size_t top : TopsAround({evolution.NodeCount(), evolution.EdgeCount()})) {
         const std::string expected =
             graphtempo::testing::RefEvolutionToJson(graph, spec, plan, evolution, top);
         EXPECT_EQ(QueryResultToJson(graph, spec, plan, computed, top), expected)

@@ -628,31 +628,26 @@ int CmdAggregate(const Options& options, std::ostream& out, std::ostream& err) {
     return 0;
   }
 
-  AggregateGraph aggregate = engine.Execute(*spec);
+  const engine::QueryResult result = engine.ExecuteResult(*spec);
+  const AggregateGraph& aggregate = result.aggregate();
   out << "aggregate on " << IntervalLabel(*graph, spec->EvaluationInterval()) << " ("
       << (spec->semantics == AggregationSemantics::kDistinct ? "DIST" : "ALL")
       << "): " << aggregate.NodeCount() << " aggregate nodes, " << aggregate.EdgeCount()
       << " aggregate edges\n";
 
-  std::vector<std::pair<AttrTuple, Weight>> nodes(aggregate.nodes().begin(),
-                                                  aggregate.nodes().end());
-  std::sort(nodes.begin(), nodes.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
+  const engine::RankedRows& ranking = result.ranking();
   out << "nodes:\n";
-  for (std::size_t i = 0; i < nodes.size() && i < top; ++i) {
-    out << "  (" << FormatTuple(*graph, *attrs, nodes[i].first) << ")  "
-        << nodes[i].second << "\n";
+  for (std::size_t i = 0; i < ranking.nodes.size() && i < top; ++i) {
+    const auto& row = aggregate.nodes()[ranking.nodes[i]];
+    out << "  (" << FormatTuple(*graph, *attrs, aggregate.NodeTuple(row.code)) << ")  "
+        << row.weight << "\n";
   }
-
-  std::vector<std::pair<AttrTuplePair, Weight>> edges(aggregate.edges().begin(),
-                                                      aggregate.edges().end());
-  std::sort(edges.begin(), edges.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
   out << "edges:\n";
-  for (std::size_t i = 0; i < edges.size() && i < top; ++i) {
-    out << "  (" << FormatTuple(*graph, *attrs, edges[i].first.src) << ") -> ("
-        << FormatTuple(*graph, *attrs, edges[i].first.dst) << ")  " << edges[i].second
-        << "\n";
+  for (std::size_t i = 0; i < ranking.edges.size() && i < top; ++i) {
+    const auto& row = aggregate.edges()[ranking.edges[i]];
+    const AttrTuplePair pair = aggregate.EdgePair(row.code);
+    out << "  (" << FormatTuple(*graph, *attrs, pair.src) << ") -> ("
+        << FormatTuple(*graph, *attrs, pair.dst) << ")  " << row.weight << "\n";
   }
   return 0;
 }
@@ -708,35 +703,26 @@ int CmdEvolution(const Options& options, std::ostream& out, std::ostream& err) {
     return 0;
   }
 
-  EvolutionAggregate evolution = engine.ExecuteResult(spec).evolution();
+  const engine::QueryResult result = engine.ExecuteResult(spec);
+  const EvolutionAggregate& evolution = result.evolution();
   out << "evolution " << IntervalLabel(*graph, *old_side) << " -> "
       << IntervalLabel(*graph, *new_side) << "\n";
 
-  auto total = [](const EvolutionWeights& weights) {
-    return weights.stability + weights.growth + weights.shrinkage;
-  };
-  std::vector<std::pair<AttrTuple, EvolutionWeights>> nodes(evolution.nodes().begin(),
-                                                            evolution.nodes().end());
-  std::sort(nodes.begin(), nodes.end(), [&](const auto& a, const auto& b) {
-    return total(a.second) > total(b.second);
-  });
+  const engine::RankedRows& ranking = result.ranking();
   out << "nodes (stable/new/gone):\n";
-  for (std::size_t i = 0; i < nodes.size() && i < top; ++i) {
-    out << "  (" << FormatTuple(*graph, *attrs, nodes[i].first) << ")  "
-        << nodes[i].second.stability << "/" << nodes[i].second.growth << "/"
-        << nodes[i].second.shrinkage << "\n";
+  for (std::size_t i = 0; i < ranking.nodes.size() && i < top; ++i) {
+    const auto& row = evolution.nodes()[ranking.nodes[i]];
+    out << "  (" << FormatTuple(*graph, *attrs, evolution.NodeTuple(row.code)) << ")  "
+        << row.weight.stability << "/" << row.weight.growth << "/" << row.weight.shrinkage
+        << "\n";
   }
-  std::vector<std::pair<AttrTuplePair, EvolutionWeights>> edges(
-      evolution.edges().begin(), evolution.edges().end());
-  std::sort(edges.begin(), edges.end(), [&](const auto& a, const auto& b) {
-    return total(a.second) > total(b.second);
-  });
   out << "edges (stable/new/gone):\n";
-  for (std::size_t i = 0; i < edges.size() && i < top; ++i) {
-    out << "  (" << FormatTuple(*graph, *attrs, edges[i].first.src) << ") -> ("
-        << FormatTuple(*graph, *attrs, edges[i].first.dst) << ")  "
-        << edges[i].second.stability << "/" << edges[i].second.growth << "/"
-        << edges[i].second.shrinkage << "\n";
+  for (std::size_t i = 0; i < ranking.edges.size() && i < top; ++i) {
+    const auto& row = evolution.edges()[ranking.edges[i]];
+    const AttrTuplePair pair = evolution.EdgePair(row.code);
+    out << "  (" << FormatTuple(*graph, *attrs, pair.src) << ") -> ("
+        << FormatTuple(*graph, *attrs, pair.dst) << ")  " << row.weight.stability << "/"
+        << row.weight.growth << "/" << row.weight.shrinkage << "\n";
   }
   return 0;
 }
