@@ -13,6 +13,7 @@
 #include "engine/engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "reference_impl.h"
 
 namespace gt = graphtempo;
 using gt::bench::Ms;
@@ -123,7 +124,7 @@ void RunKernelAblation(const gt::TemporalGraph& graph, const std::string& name,
       [&] {
         std::size_t total = 0;
         for (gt::TimeId t = 0; t < n; ++t) {
-          gt::GraphView snap = gt::ProjectRowScan(graph, gt::IntervalSet::Point(n, t));
+          gt::GraphView snap = gt::testing::ProjectRowScan(graph, gt::IntervalSet::Point(n, t));
           total += snap.NodeCount() + snap.EdgeCount();
         }
         DoNotOptimize(total);

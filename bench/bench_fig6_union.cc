@@ -14,6 +14,7 @@
 #include "core/operators.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "reference_impl.h"
 
 namespace gt = graphtempo;
 using gt::bench::DoNotOptimize;
@@ -88,7 +89,7 @@ void RunKernelAblation(const gt::TemporalGraph& graph, const std::string& name) 
   }
   double rowscan_ms = TimeMs(
       [&] {
-        gt::GraphView view = gt::UnionOpRowScan(graph, prefix, next);
+        gt::GraphView view = gt::testing::UnionOpRowScan(graph, prefix, next);
         DoNotOptimize(view.NodeCount());
       },
       /*reps=*/5);

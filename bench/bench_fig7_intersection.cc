@@ -15,6 +15,7 @@
 #include "core/operators.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "reference_impl.h"
 
 namespace gt = graphtempo;
 using gt::bench::DoNotOptimize;
@@ -90,7 +91,7 @@ void RunKernelAblation(const gt::TemporalGraph& graph, const std::string& name) 
   }
   double rowscan_ms = TimeMs(
       [&] {
-        gt::GraphView view = gt::IntersectionOpRowScan(graph, first, second);
+        gt::GraphView view = gt::testing::IntersectionOpRowScan(graph, first, second);
         DoNotOptimize(view.NodeCount());
       },
       /*reps=*/5);

@@ -1,6 +1,5 @@
 /// google-benchmark micro suite: core primitives plus the ablations called
 /// out in DESIGN.md —
-///   * word-parallel presence predicates vs. the per-column naive scan;
 ///   * the static-attribute aggregation fast path vs. the general path;
 ///   * the monotonicity-pruned explorer vs. exhaustive enumeration;
 ///   * answer emission, ranking and response writing, without HTTP;
@@ -22,40 +21,13 @@
 #include "core/operators.h"
 #include "datagen/dblp_gen.h"
 #include "datagen/random.h"
+#include "reference_impl.h"
 #include "storage/bitset.h"
 #include "util/parallel.h"
 
 namespace gt = graphtempo;
 
 namespace {
-
-// --- Presence predicate ablation -------------------------------------------------
-
-void BM_RowAnyMaskedWordParallel(benchmark::State& state) {
-  const gt::TemporalGraph& graph = gt::bench::DblpGraph();
-  gt::IntervalSet interval = gt::IntervalSet::Range(graph.num_times(), 5, 15);
-  for (auto _ : state) {
-    std::size_t hits = 0;
-    for (gt::NodeId n = 0; n < graph.num_nodes(); ++n) {
-      hits += graph.node_presence().RowAnyMasked(n, interval.bits());
-    }
-    benchmark::DoNotOptimize(hits);
-  }
-}
-BENCHMARK(BM_RowAnyMaskedWordParallel);
-
-void BM_RowAnyMaskedNaive(benchmark::State& state) {
-  const gt::TemporalGraph& graph = gt::bench::DblpGraph();
-  gt::IntervalSet interval = gt::IntervalSet::Range(graph.num_times(), 5, 15);
-  for (auto _ : state) {
-    std::size_t hits = 0;
-    for (gt::NodeId n = 0; n < graph.num_nodes(); ++n) {
-      hits += graph.node_presence().RowAnyMaskedNaive(n, interval.bits());
-    }
-    benchmark::DoNotOptimize(hits);
-  }
-}
-BENCHMARK(BM_RowAnyMaskedNaive);
 
 // --- Bitset index extraction (kernel epilogue) --------------------------------------
 //
@@ -110,7 +82,7 @@ void BM_UnionOpRowScanDblp(benchmark::State& state) {
   gt::IntervalSet a = gt::IntervalSet::Range(n, 0, 9);
   gt::IntervalSet b = gt::IntervalSet::Range(n, 10, 20);
   for (auto _ : state) {
-    gt::GraphView view = gt::UnionOpRowScan(graph, a, b);
+    gt::GraphView view = gt::testing::UnionOpRowScan(graph, a, b);
     benchmark::DoNotOptimize(view.NodeCount());
   }
 }

@@ -1,5 +1,8 @@
 #include "core/coarsen.h"
 
+#include <algorithm>
+#include <vector>
+
 #include "core/interval.h"
 #include "util/check.h"
 
@@ -8,14 +11,14 @@ namespace graphtempo {
 namespace {
 
 /// The member time point supplying a time-varying value under `policy`:
-/// last/first point of `range` at which `row` of `presence` is set and the
+/// last/first point of `range` at which `entity` is present and the
 /// attribute cell is assigned. Returns false if no such point.
 template <typename CellSetFn>
-bool PickObservation(const BitMatrix& presence, std::size_t row, TimeRange range,
+bool PickObservation(const PresenceIndex& presence, std::size_t entity, TimeRange range,
                      CoarsenPolicy policy, const CellSetFn& cell_set, TimeId* picked) {
   if (policy == CoarsenPolicy::kLast) {
     for (TimeId t = range.last;; --t) {
-      if (presence.Test(row, t) && cell_set(t)) {
+      if (presence.Column(t).Test(entity) && cell_set(t)) {
         *picked = t;
         return true;
       }
@@ -23,7 +26,7 @@ bool PickObservation(const BitMatrix& presence, std::size_t row, TimeRange range
     }
   } else {
     for (TimeId t = range.first; t <= range.last; ++t) {
-      if (presence.Test(row, t) && cell_set(t)) {
+      if (presence.Column(t).Test(entity) && cell_set(t)) {
         *picked = t;
         return true;
       }
@@ -77,19 +80,23 @@ TemporalGraph CoarsenTime(const TemporalGraph& graph,
     coarse.AddTimeVaryingEdgeAttribute(graph.time_varying_edge_attribute(a).name());
   }
 
+  // Per group, the nodes and edges present at some member point.
+  const PresenceIndex& node_presence = graph.node_presence_index();
+  const PresenceIndex& edge_presence = graph.edge_presence_index();
+  std::vector<DynamicBitset> group_nodes, group_edges;
+  for (const TimeGroup& group : groups) {
+    group_nodes.push_back(node_presence.UnionRange(group.range.first, group.range.last));
+    group_edges.push_back(edge_presence.UnionRange(group.range.first, group.range.last));
+  }
+
   // Nodes kept if present in any group (others would be isolated phantoms).
   std::vector<NodeId> node_map(graph.num_nodes(), 0);
   std::vector<bool> node_kept(graph.num_nodes(), false);
   for (NodeId n = 0; n < graph.num_nodes(); ++n) {
-    bool any = false;
-    for (const TimeGroup& group : groups) {
-      IntervalSet member = IntervalSet::Of(graph.num_times(), group.range);
-      if (graph.node_presence().RowAnyMasked(n, member.bits())) {
-        any = true;
-        break;
-      }
+    if (std::none_of(group_nodes.begin(), group_nodes.end(),
+                     [&](const DynamicBitset& nodes) { return nodes.Test(n); })) {
+      continue;
     }
-    if (!any) continue;
     NodeId copy = coarse.AddNode(graph.node_label(n));
     node_map[n] = copy;
     node_kept[n] = true;
@@ -102,16 +109,14 @@ TemporalGraph CoarsenTime(const TemporalGraph& graph,
 
   for (TimeId g = 0; g < groups.size(); ++g) {
     const TimeRange range = groups[g].range;
-    IntervalSet member = IntervalSet::Of(graph.num_times(), range);
     for (NodeId n = 0; n < graph.num_nodes(); ++n) {
-      if (!node_kept[n]) continue;
-      if (!graph.node_presence().RowAnyMasked(n, member.bits())) continue;
+      if (!node_kept[n] || !group_nodes[g].Test(n)) continue;
       NodeId copy = node_map[n];
       coarse.SetNodePresent(copy, g);
       for (std::uint32_t a = 0; a < graph.num_time_varying_attributes(); ++a) {
         const TimeVaryingColumn& column = graph.time_varying_attribute(a);
         TimeId picked = 0;
-        if (PickObservation(graph.node_presence(), n, range, policy,
+        if (PickObservation(node_presence, n, range, policy,
                             [&](TimeId t) { return column.CodeAt(n, t) != kNoValue; },
                             &picked)) {
           coarse.SetTimeVaryingValue(a, copy, g, column.ValueAt(n, picked));
@@ -125,8 +130,7 @@ TemporalGraph CoarsenTime(const TemporalGraph& graph,
     std::optional<EdgeId> copy;
     for (TimeId g = 0; g < groups.size(); ++g) {
       const TimeRange range = groups[g].range;
-      IntervalSet member = IntervalSet::Of(graph.num_times(), range);
-      if (!graph.edge_presence().RowAnyMasked(e, member.bits())) continue;
+      if (!group_edges[g].Test(e)) continue;
       if (!copy.has_value()) {
         copy = coarse.GetOrAddEdge(node_map[src], node_map[dst]);
         for (std::uint32_t a = 0; a < graph.num_static_edge_attributes(); ++a) {
@@ -140,7 +144,7 @@ TemporalGraph CoarsenTime(const TemporalGraph& graph,
       for (std::uint32_t a = 0; a < graph.num_time_varying_edge_attributes(); ++a) {
         const TimeVaryingColumn& column = graph.time_varying_edge_attribute(a);
         TimeId picked = 0;
-        if (PickObservation(graph.edge_presence(), e, range, policy,
+        if (PickObservation(edge_presence, e, range, policy,
                             [&](TimeId t) { return column.CodeAt(e, t) != kNoValue; },
                             &picked)) {
           coarse.SetTimeVaryingEdgeValue(a, *copy, g, column.ValueAt(e, picked));

@@ -108,27 +108,36 @@ void ForEachInFolds(const DynamicBitset& old_fold, const DynamicBitset& new_fold
 /// One distinct group code of an entity and the intervals it appeared in.
 struct CodeSides {
   std::uint64_t code;
-  bool in_old;
-  bool in_new;
+  bool in_old = false;
+  bool in_new = false;
 };
 
 /// Runs the scan of one side (nodes or edges) on the pool, one private
 /// GroupWeights per chunk (ScanChunks). With `static_codes`,
 /// `code_of(entity)` is the entity's one code and fold membership decides
-/// its event. Otherwise one walk over the entity's row under T_old ∪ T_new
-/// collects its distinct `code_at(entity, t)` (nullopt: hidden by the
-/// filter) with the sides each appeared on, in reused chunk scratch — the
-/// per-entity DIST rule: a code on both sides is stable, one only on the
-/// old side shrinks, one only on the new side grows.
+/// its event. Otherwise the appearances at `times` (T_old ∪ T_new, read off
+/// the presence columns a word of entities at a time by SlotColumns) collect
+/// each entity's distinct `code_at(entity, t)` (nullopt: hidden by the
+/// filter) with the sides each appeared on — the per-entity DIST rule: a
+/// code on both sides is stable, one only on the old side shrinks, one only
+/// on the new side grows.
 template <typename CodeOf, typename CodeAt>
 std::vector<GroupWeights<EvolutionWeights>> ScanSide(
-    const char* span_name, const BitMatrix& presence, const DynamicBitset& old_fold,
+    const char* span_name, const PresenceIndex& presence, const DynamicBitset& old_fold,
     const DynamicBitset& new_fold, const IntervalSet& t_old, const IntervalSet& t_new,
-    bool static_codes, std::uint64_t codes, std::size_t dense_max, const CodeOf& code_of,
-    const CodeAt& code_at) {
+    std::span<const TimeId> times, bool static_codes, std::uint64_t codes,
+    std::size_t dense_max, const CodeOf& code_of, const CodeAt& code_at) {
   const std::size_t entities = old_fold.size();
   ParallelPartition partition(entities, kGroupMinPerChunk, /*alignment=*/64);
   GT_SPAN(span_name, {{"entities", entities}, {"chunks", partition.num_chunks()}});
+  const internal_grouping::SlotColumns columns(presence, times);
+  std::vector<char> slot_in_old(times.size()), slot_in_new(times.size());
+  for (std::size_t s = 0; s < times.size(); ++s) {
+    slot_in_old[s] = t_old.Contains(times[s]);
+    slot_in_new[s] = t_new.Contains(times[s]);
+  }
+  const std::uint64_t* old_words = old_fold.word_data();
+  const std::uint64_t* new_words = new_fold.word_data();
   auto scan_chunk = [&](std::size_t begin, std::size_t end, const auto& cell) {
     if (static_codes) {
       ForEachInFolds(old_fold, new_fold, begin, end,
@@ -137,37 +146,24 @@ std::vector<GroupWeights<EvolutionWeights>> ScanSide(
                      });
       return;
     }
-    const std::uint64_t* old_mask = t_old.bits().word_data();
-    const std::uint64_t* new_mask = t_new.bits().word_data();
-    std::vector<CodeSides> seen;
-    ForEachInFolds(old_fold, new_fold, begin, end, [&](std::size_t entity, bool, bool) {
-      const std::uint64_t* row = presence.row_words(entity);
-      seen.clear();
-      for (std::size_t w = 0; w < presence.words_per_row(); ++w) {
-        const std::uint64_t old_bits = row[w] & old_mask[w];
-        const std::uint64_t new_bits = row[w] & new_mask[w];
-        for (std::uint64_t bits = old_bits | new_bits; bits != 0; bits &= bits - 1) {
-          const int bit = std::countr_zero(bits);
-          const std::optional<std::uint64_t> code =
-              code_at(entity, static_cast<TimeId>(w * 64 + bit));
-          if (!code.has_value()) continue;
-          const bool in_old = ((old_bits >> bit) & 1) != 0;
-          const bool in_new = ((new_bits >> bit) & 1) != 0;
-          auto it = std::find_if(seen.begin(), seen.end(), [&](const CodeSides& entry) {
-            return entry.code == *code;
-          });
-          if (it == seen.end()) {
-            seen.push_back({*code, in_old, in_new});
-          } else {
-            it->in_old |= in_old;
-            it->in_new |= in_new;
-          }
+    internal_grouping::EntityCodes<CodeSides> met(times.size());
+    for (std::size_t w = begin / 64; w < (end + 63) / 64; ++w) {
+      const std::uint64_t chosen = old_words[w] | new_words[w];
+      if (chosen == 0) continue;
+      met.Clear();
+      columns.ForEachAppearance(w, chosen, [&](std::size_t i, std::size_t slot) {
+        const std::optional<std::uint64_t> code = code_at(w * 64 + i, times[slot]);
+        if (!code.has_value()) return;
+        CodeSides& entry = *met.FindOrAdd(i, *code).first;
+        entry.in_old |= slot_in_old[slot] != 0;
+        entry.in_new |= slot_in_new[slot] != 0;
+      });
+      for (std::uint64_t bits = chosen; bits != 0; bits &= bits - 1) {
+        for (const CodeSides& entry : met.Of(std::countr_zero(bits))) {
+          Bump(cell(entry.code), SideEvent(entry.in_old, entry.in_new));
         }
       }
-      for (const CodeSides& entry : seen) {
-        Bump(cell(entry.code), SideEvent(entry.in_old, entry.in_new));
-      }
-    });
+    }
   };
   return internal_grouping::ScanChunks<EvolutionWeights>(partition, codes <= dense_max,
                                                          codes, scan_chunk);
@@ -208,8 +204,8 @@ EvolutionAggregate AggregateEvolution(const TemporalGraph& graph, const Interval
   // Group by code (edge code: code(src) · cells + code(dst)), densely within
   // Algorithm 2's thresholds.
   std::vector<GroupWeights<EvolutionWeights>> node_parts = ScanSide(
-      "evo/nodes_scan", graph.node_presence(), old_nodes, new_nodes, t_old, t_new,
-      static_codes, cells, kDenseNodeCellsMax,
+      "evo/nodes_scan", graph.node_presence_index(), old_nodes, new_nodes, t_old, t_new,
+      times, static_codes, cells, kDenseNodeCellsMax,
       [&](std::size_t n) { return codes.At(static_cast<NodeId>(n)); },
       [&](std::size_t n, TimeId t) -> std::optional<std::uint64_t> {
         const std::uint32_t code = codes.At(static_cast<NodeId>(n), t);
@@ -217,8 +213,8 @@ EvolutionAggregate AggregateEvolution(const TemporalGraph& graph, const Interval
         return code;
       });
   std::vector<GroupWeights<EvolutionWeights>> edge_parts = ScanSide(
-      "evo/edges_scan", graph.edge_presence(), old_edges, new_edges, t_old, t_new,
-      static_codes, cells * cells, kDenseEdgePairsMax,
+      "evo/edges_scan", graph.edge_presence_index(), old_edges, new_edges, t_old, t_new,
+      times, static_codes, cells * cells, kDenseEdgePairsMax,
       [&](std::size_t e) {
         return codes.At(endpoints[e].first) * cells + codes.At(endpoints[e].second);
       },

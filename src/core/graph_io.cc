@@ -13,10 +13,10 @@ namespace graphtempo {
 
 namespace {
 
-std::string PresenceString(const BitMatrix& presence, std::size_t row) {
-  std::string bits(presence.columns(), '0');
-  for (std::size_t t = 0; t < presence.columns(); ++t) {
-    if (presence.Test(row, t)) bits[t] = '1';
+std::string PresenceString(const PresenceIndex& presence, std::size_t entity) {
+  std::string bits(presence.num_times(), '0');
+  for (std::size_t t = 0; t < presence.num_times(); ++t) {
+    if (presence.Column(t).Test(entity)) bits[t] = '1';
   }
   return bits;
 }
@@ -50,14 +50,14 @@ void WriteGraph(const TemporalGraph& graph, std::ostream* out) {
 
   writer.WriteRow({"!section", "nodes"});
   for (NodeId n = 0; n < graph.num_nodes(); ++n) {
-    writer.WriteRow({graph.node_label(n), PresenceString(graph.node_presence(), n)});
+    writer.WriteRow({graph.node_label(n), PresenceString(graph.node_presence_index(), n)});
   }
 
   writer.WriteRow({"!section", "edges"});
   for (EdgeId e = 0; e < graph.num_edges(); ++e) {
     auto [src, dst] = graph.edge(e);
     writer.WriteRow({graph.node_label(src), graph.node_label(dst),
-                     PresenceString(graph.edge_presence(), e)});
+                     PresenceString(graph.edge_presence_index(), e)});
   }
 
   for (std::uint32_t a = 0; a < graph.num_static_attributes(); ++a) {

@@ -393,9 +393,8 @@ struct GraphSnapshotAccess {
       return fail("corrupt EVAT section");
     }
 
-    // Everything validated — assemble. The row-major matrices are rebuilt
-    // from a transient decode of each column; the column-major indexes keep
-    // the compressed form and decode on first touch.
+    // Everything validated — assemble. The presence indexes keep the
+    // compressed columns and decode each on first touch.
     TemporalGraph g(std::move(time_labels));
     g.mutation_generation_ = mutation_generation;
     g.time_mutation_generations_ = std::move(time_generations);
@@ -404,16 +403,6 @@ struct GraphSnapshotAccess {
     g.edge_endpoints_ = std::move(edge_endpoints);
     g.edge_index_ = std::move(edge_index);
 
-    g.node_presence_.AddRows(num_nodes);
-    for (std::size_t t = 0; t < node_columns.size(); ++t) {
-      node_columns[t].Decompress().ForEachSetBit(
-          [&](std::size_t entity) { g.node_presence_.Set(entity, t); });
-    }
-    g.edge_presence_.AddRows(num_edges);
-    for (std::size_t t = 0; t < edge_columns.size(); ++t) {
-      edge_columns[t].Decompress().ForEachSetBit(
-          [&](std::size_t entity) { g.edge_presence_.Set(entity, t); });
-    }
     g.node_index_cols_.RestoreCompressed(num_nodes, std::move(node_columns));
     g.edge_index_cols_.RestoreCompressed(num_edges, std::move(edge_columns));
 

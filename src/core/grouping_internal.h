@@ -13,15 +13,16 @@
 #include <vector>
 
 #include "core/aggregation.h"
+#include "core/presence_index.h"
 #include "obs/trace.h"
 #include "util/parallel.h"
 
 /// \file
 /// Group-code machinery shared by Algorithm 2 (core/aggregation.cc), the
 /// evolution aggregation (core/evolution.cc) and the exploration counting
-/// kernel (core/exploration.cc): tuple packing, per-node group codes, the
-/// per-entity appearance walk, and per-chunk weight tables keyed by code. Not
-/// part of the public API.
+/// kernel (core/exploration.cc): tuple packing, per-node group codes,
+/// per-entity walks over the presence columns, and per-chunk weight
+/// tables keyed by code. Not part of the public API.
 
 namespace graphtempo::internal_grouping {
 
@@ -195,30 +196,94 @@ class NodeCodes {
   std::uint32_t node_cap_ = kHidden;
 };
 
-/// Calls `fn(code)` for the appearances of one entity: the set bits of its
-/// presence `row` under the time `mask` (`words` words each), read as
-/// `code_at(t)`, skipping those it hides (nullopt). With `seen` (DIST) only
-/// the entity's first appearance of each code calls `fn`, deduplicated in
-/// that scratch, which the caller reuses across entities; without it (ALL)
-/// every appearance does.
-template <typename CodeAt, typename Fn>
-void ForEachAppearanceCode(const std::uint64_t* row, const std::uint64_t* mask,
-                           std::size_t words, std::vector<std::uint64_t>* seen,
-                           const CodeAt& code_at, const Fn& fn) {
-  if (seen != nullptr) seen->clear();
-  for (std::size_t w = 0; w < words; ++w) {
-    for (std::uint64_t bits = row[w] & mask[w]; bits != 0; bits &= bits - 1) {
-      const std::optional<std::uint64_t> code =
-          code_at(static_cast<TimeId>(w * 64 + std::countr_zero(bits)));
-      if (!code.has_value()) continue;
-      if (seen != nullptr) {
-        if (std::find(seen->begin(), seen->end(), *code) != seen->end()) continue;
-        seen->push_back(*code);
+/// Presence read off the column store (PresenceIndex) for a per-entity
+/// walk, one 64-entity word at a time. The request's time points,
+/// ascending, are its slots. For entity word `w`, `ForEachAppearance` loads
+/// word `w` of each slot's column once (one load per slot for up to 64
+/// entities) and calls `fn(i, slot)` for every appearance of the chosen
+/// entities, bit `i` standing for entity 64·w + i, slot by slot. A walk
+/// keeps its per-entity state in arrays over `i` (EntityCodes), so no
+/// per-entity row is ever built.
+class SlotColumns {
+ public:
+  SlotColumns(const PresenceIndex& presence, std::span<const TimeId> times) {
+    columns_.reserve(times.size());
+    for (TimeId t : times) columns_.push_back(presence.Column(t).word_data());
+  }
+
+  std::size_t slots() const { return columns_.size(); }
+
+  /// Word `w` of the column at `slot`.
+  std::uint64_t Word(std::size_t slot, std::size_t w) const { return columns_[slot][w]; }
+
+  template <typename Fn>
+  void ForEachAppearance(std::size_t w, std::uint64_t chosen, const Fn& fn) const {
+    for (std::size_t s = 0; s < columns_.size(); ++s) {
+      for (std::uint64_t bits = columns_[s][w] & chosen; bits != 0; bits &= bits - 1) {
+        fn(static_cast<std::size_t>(std::countr_zero(bits)), s);
       }
-      fn(*code);
     }
   }
+
+ private:
+  std::vector<const std::uint64_t*> columns_;  // slot → its column's words
+};
+
+/// Calls `fn(w, chosen)` for `entities[begin, end)`, ascending ids, one call
+/// per run of entities sharing word `w` (`chosen`: their bits in it).
+template <typename Entity, typename Fn>
+void ForEachWordOf(std::span<const Entity> entities, std::size_t begin, std::size_t end,
+                   const Fn& fn) {
+  while (begin < end) {
+    const std::size_t w = entities[begin] / 64;
+    std::uint64_t chosen = 0;
+    for (; begin < end && entities[begin] / 64 == w; ++begin) {
+      chosen |= std::uint64_t{1} << (entities[begin] % 64);
+    }
+    fn(w, chosen);
+  }
 }
+
+/// The distinct group codes each entity of one word met during a walk, as
+/// `Entry`s (whose first member is the code): room for one per slot for
+/// each of the 64 entities. Reused across words: `Clear` before each.
+template <typename Entry>
+class EntityCodes {
+ public:
+  explicit EntityCodes(std::size_t slots)
+      : capacity_(std::max<std::size_t>(slots, 1)), entries_(64 * capacity_) {}
+
+  void Clear() { counts_.fill(0); }
+
+  /// The entry of `code` for entity bit `i`, and whether it was just added
+  /// (as `Entry{code}`).
+  std::pair<Entry*, bool> FindOrAdd(std::size_t i, std::uint64_t code) {
+    Entry* first = entries_.data() + i * capacity_;
+    Entry* last = first + counts_[i];
+    Entry* it = std::find_if(first, last, [&](const Entry& entry) {
+      return entry.code == code;
+    });
+    if (it != last) return {it, false};
+    *last = Entry{code};
+    ++counts_[i];
+    return {last, true};
+  }
+
+  /// The entries of entity bit `i`.
+  std::span<const Entry> Of(std::size_t i) const {
+    return {entries_.data() + i * capacity_, counts_[i]};
+  }
+
+ private:
+  const std::size_t capacity_;
+  std::vector<Entry> entries_;
+  std::array<std::uint32_t, 64> counts_ = {};
+};
+
+/// A code met by an entity, for EntityCodes.
+struct MetCode {
+  std::uint64_t code;
+};
 
 /// Weights `W` per group code (one chunk's, or a sum's): a flat array over
 /// every code when dense, a hash map on the code otherwise.

@@ -84,8 +84,8 @@ NodeMeasureMap AggregateNodeMeasure(const TemporalGraph& graph, const GraphView&
   GT_CHECK(!group_attrs.empty()) << "measure aggregation needs grouping attributes";
   std::unordered_map<AttrTuple, Accumulator, AttrTupleHash> groups;
   for (NodeId n : view.nodes) {
-    graph.node_presence().ForEachSetBitMasked(n, view.times.bits(), [&](std::size_t t_raw) {
-      TimeId t = static_cast<TimeId>(t_raw);
+    view.times.ForEach([&](TimeId t) {
+      if (!graph.NodePresentAt(n, t)) return;
       AttrValueId code = graph.ValueCodeAt(measure_attr, n, t);
       if (code == kNoValue) return;  // no observation at this appearance
       groups[TupleAt(graph, group_attrs, n, t)].Add(
@@ -107,8 +107,8 @@ EdgeMeasureMap AggregateEdgeMeasure(const TemporalGraph& graph, const GraphView&
   std::unordered_map<AttrTuplePair, Accumulator, AttrTuplePairHash> groups;
   for (EdgeId e : view.edges) {
     auto [src, dst] = graph.edge(e);
-    graph.edge_presence().ForEachSetBitMasked(e, view.times.bits(), [&](std::size_t t_raw) {
-      TimeId t = static_cast<TimeId>(t_raw);
+    view.times.ForEach([&](TimeId t) {
+      if (!graph.EdgePresentAt(e, t)) return;
       AttrValueId code = graph.EdgeValueCodeAt(measure_attr, e, t);
       if (code == kNoValue) return;
       AttrTuplePair pair{TupleAt(graph, group_attrs, src, t),

@@ -58,38 +58,6 @@ std::vector<std::uint32_t> ExtractIndices(const DynamicBitset& bits) {
   return out;
 }
 
-/// Collects the row ids in [0, count) satisfying `pred`, ascending.
-/// Parallelized over chunks; per-chunk outputs are concatenated in chunk
-/// order, so the result is identical at any thread count.
-template <typename Pred>
-std::vector<std::uint32_t> FilterRows(std::size_t count, const Pred& pred) {
-  ParallelPartition partition(count);
-  if (partition.num_chunks() == 1) {
-    std::vector<std::uint32_t> rows;
-    // Temporal selections typically retain a large fraction of the entity
-    // range (Table 3 workloads keep well over half); reserving half the scan
-    // length avoids the first few geometric regrowths without committing the
-    // full range up front.
-    rows.reserve(count / 2 + 1);
-    for (std::size_t i = 0; i < count; ++i) {
-      if (pred(i)) rows.push_back(static_cast<std::uint32_t>(i));
-    }
-    return rows;
-  }
-  std::vector<std::vector<std::uint32_t>> parts(partition.num_chunks());
-  partition.Run([&](std::size_t chunk, std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      if (pred(i)) parts[chunk].push_back(static_cast<std::uint32_t>(i));
-    }
-  });
-  std::size_t total = 0;
-  for (const auto& part : parts) total += part.size();
-  std::vector<std::uint32_t> rows;
-  rows.reserve(total);
-  for (const auto& part : parts) rows.insert(rows.end(), part.begin(), part.end());
-  return rows;
-}
-
 }  // namespace
 
 // --- Kernel path ---------------------------------------------------------------
@@ -105,7 +73,7 @@ std::vector<std::uint32_t> FilterRows(std::size_t count, const Pred& pred) {
 // Contiguous intervals fold in two column ops via the sparse-table interval
 // index; the folds and the final id extraction are word-parallel and
 // chunk-ordered, so results are bit-identical at any thread count and to the
-// *RowScan reference path below.
+// per-entity references in tests/reference_impl.h.
 
 namespace {
 
@@ -236,83 +204,6 @@ GraphView DifferenceOp(const TemporalGraph& graph, const IntervalSet& t1,
     mark(dst);
   }
   view.nodes = ExtractIndices(members);
-  return view;
-}
-
-// --- Row-scan reference path ---------------------------------------------------
-
-GraphView ProjectRowScan(const TemporalGraph& graph, const IntervalSet& t1) {
-  CheckDomain(graph, t1);
-  GT_CHECK(!t1.Empty()) << "projection interval must be non-empty";
-  GraphView view;
-  view.times = t1;
-  const BitMatrix& nodes = graph.node_presence();
-  view.nodes = FilterRows(graph.num_nodes(),
-                          [&](std::size_t n) { return nodes.RowAllMasked(n, t1.bits()); });
-  const BitMatrix& edges = graph.edge_presence();
-  view.edges = FilterRows(graph.num_edges(),
-                          [&](std::size_t e) { return edges.RowAllMasked(e, t1.bits()); });
-  return view;
-}
-
-GraphView UnionOpRowScan(const TemporalGraph& graph, const IntervalSet& t1,
-                         const IntervalSet& t2) {
-  CheckDomain(graph, t1);
-  CheckDomain(graph, t2);
-  GraphView view;
-  view.times = t1 | t2;
-  const DynamicBitset& mask = view.times.bits();
-  const BitMatrix& nodes = graph.node_presence();
-  view.nodes = FilterRows(graph.num_nodes(),
-                          [&](std::size_t n) { return nodes.RowAnyMasked(n, mask); });
-  const BitMatrix& edges = graph.edge_presence();
-  view.edges = FilterRows(graph.num_edges(),
-                          [&](std::size_t e) { return edges.RowAnyMasked(e, mask); });
-  return view;
-}
-
-GraphView IntersectionOpRowScan(const TemporalGraph& graph, const IntervalSet& t1,
-                                const IntervalSet& t2) {
-  CheckDomain(graph, t1);
-  CheckDomain(graph, t2);
-  GraphView view;
-  view.times = t1 | t2;
-  const BitMatrix& nodes = graph.node_presence();
-  view.nodes = FilterRows(graph.num_nodes(), [&](std::size_t n) {
-    return nodes.RowAnyMasked(n, t1.bits()) && nodes.RowAnyMasked(n, t2.bits());
-  });
-  const BitMatrix& edges = graph.edge_presence();
-  view.edges = FilterRows(graph.num_edges(), [&](std::size_t e) {
-    return edges.RowAnyMasked(e, t1.bits()) && edges.RowAnyMasked(e, t2.bits());
-  });
-  return view;
-}
-
-GraphView DifferenceOpRowScan(const TemporalGraph& graph, const IntervalSet& t1,
-                              const IntervalSet& t2) {
-  CheckDomain(graph, t1);
-  CheckDomain(graph, t2);
-  GraphView view;
-  view.times = t1;  // Def 2.5: the result is defined on T₁ (τu_(u) = τu(u) ∩ T₁).
-
-  // E₋ first: nodes depend on it (a surviving node still joins V₋ when it is
-  // an endpoint of a deleted edge).
-  const BitMatrix& edges = graph.edge_presence();
-  view.edges = FilterRows(graph.num_edges(), [&](std::size_t e) {
-    return edges.RowAnyMasked(e, t1.bits()) && edges.RowNoneMasked(e, t2.bits());
-  });
-  std::vector<char> difference_endpoint(graph.num_nodes(), 0);
-  for (EdgeId e : view.edges) {
-    auto [src, dst] = graph.edge(e);
-    difference_endpoint[src] = 1;
-    difference_endpoint[dst] = 1;
-  }
-
-  const BitMatrix& nodes = graph.node_presence();
-  view.nodes = FilterRows(graph.num_nodes(), [&](std::size_t n) {
-    if (!nodes.RowAnyMasked(n, t1.bits())) return false;
-    return difference_endpoint[n] != 0 || nodes.RowNoneMasked(n, t2.bits());
-  });
   return view;
 }
 

@@ -85,25 +85,6 @@ GraphView DifferenceOp(const TemporalGraph& graph, const IntervalSet& t1,
 GraphView DifferenceOp(const TemporalGraph& graph, const IntervalSet& t1,
                        const IntervalSet& t2, PresenceFoldProvider& folds);
 
-// --- Row-scan reference path ---------------------------------------------------
-//
-// The four operators above run on the column-major presence index as pure
-// bitset algebra (docs/KERNELS.md). The *RowScan variants below are the
-// original entity-at-a-time implementations over the row-major BitMatrix:
-// one masked-row predicate per node/edge. They are kept alive as the
-// reference the kernels are differentially tested against
-// (tests/operator_kernel_test.cc) and as the ablation baseline of the
-// fig5/fig6/fig7 benchmark `kernel` JSON fields. Results are identical to
-// the kernel path, bit for bit, at any thread count.
-
-GraphView ProjectRowScan(const TemporalGraph& graph, const IntervalSet& t1);
-GraphView UnionOpRowScan(const TemporalGraph& graph, const IntervalSet& t1,
-                         const IntervalSet& t2);
-GraphView IntersectionOpRowScan(const TemporalGraph& graph, const IntervalSet& t1,
-                                const IntervalSet& t2);
-GraphView DifferenceOpRowScan(const TemporalGraph& graph, const IntervalSet& t1,
-                              const IntervalSet& t2);
-
 }  // namespace graphtempo
 
 #endif  // GRAPHTEMPO_CORE_OPERATORS_H_

@@ -340,8 +340,7 @@ DynamicBitset PresenceIndex::IntersectionOver(const DynamicBitset& times) const 
   GT_CHECK_EQ(times.size(), columns_.size()) << "time mask/domain mismatch";
   DynamicBitset result(entities_);
   if (times.None()) {
-    // Vacuous truth: every entity is present "at all times" of an empty set,
-    // matching RowAllMasked on an empty mask.
+    // Vacuous truth: every entity is present "at all times" of an empty set.
     result.SetAll();
     return result;
   }

@@ -1,6 +1,7 @@
 #include "core/stats.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "accel/backend.h"
 #include "obs/context.h"
@@ -39,16 +40,13 @@ double SnapshotJaccard(const TemporalGraph& graph, TimeId t1, TimeId t2,
                        EntityKind kind) {
   GT_CHECK_LT(t1, graph.num_times()) << "time out of range";
   GT_CHECK_LT(t2, graph.num_times()) << "time out of range";
-  const BitMatrix& presence =
-      kind == EntityKind::kNodes ? graph.node_presence() : graph.edge_presence();
-  std::size_t both = 0;
-  std::size_t either = 0;
-  for (std::size_t row = 0; row < presence.rows(); ++row) {
-    bool a = presence.Test(row, t1);
-    bool b = presence.Test(row, t2);
-    both += a && b;
-    either += a || b;
-  }
+  const PresenceIndex& presence = kind == EntityKind::kNodes
+                                      ? graph.node_presence_index()
+                                      : graph.edge_presence_index();
+  const DynamicBitset& a = presence.Column(t1);
+  const DynamicBitset& b = presence.Column(t2);
+  const std::size_t both = (a & b).Count();
+  const std::size_t either = (a | b).Count();
   return either == 0 ? 0.0 : static_cast<double>(both) / static_cast<double>(either);
 }
 
@@ -70,11 +68,15 @@ std::map<std::size_t, std::size_t> OutDegreeHistogram(const TemporalGraph& graph
 
 std::map<std::size_t, std::size_t> LifespanHistogram(const TemporalGraph& graph,
                                                      EntityKind kind) {
-  const BitMatrix& presence =
-      kind == EntityKind::kNodes ? graph.node_presence() : graph.edge_presence();
+  const PresenceIndex& presence = kind == EntityKind::kNodes
+                                      ? graph.node_presence_index()
+                                      : graph.edge_presence_index();
+  std::vector<std::size_t> lifespans(presence.num_entities(), 0);
+  for (std::size_t t = 0; t < presence.num_times(); ++t) {
+    presence.Column(t).ForEachSetBit([&](std::size_t entity) { ++lifespans[entity]; });
+  }
   std::map<std::size_t, std::size_t> histogram;
-  for (std::size_t row = 0; row < presence.rows(); ++row) {
-    std::size_t lifespan = presence.RowCount(row);
+  for (std::size_t lifespan : lifespans) {
     if (lifespan > 0) ++histogram[lifespan];
   }
   return histogram;

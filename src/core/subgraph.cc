@@ -35,8 +35,8 @@ TemporalGraph ExtractSubgraph(const TemporalGraph& graph, const GraphView& view)
   // Nodes: presence restricted to the view interval, attributes copied.
   for (NodeId n : view.nodes) {
     NodeId copy = result.AddNode(graph.node_label(n));
-    graph.node_presence().ForEachSetBitMasked(n, view.times.bits(), [&](std::size_t t) {
-      result.SetNodePresent(copy, static_cast<TimeId>(t));
+    view.times.ForEach([&](TimeId t) {
+      if (graph.NodePresentAt(n, t)) result.SetNodePresent(copy, t);
     });
     for (std::uint32_t a = 0; a < graph.num_static_attributes(); ++a) {
       AttrValueId code = graph.static_attribute(a).CodeAt(n);
@@ -64,8 +64,8 @@ TemporalGraph ExtractSubgraph(const TemporalGraph& graph, const GraphView& view)
     GT_CHECK(copy_src.has_value() && copy_dst.has_value())
         << "view has an edge whose endpoint is not in the view";
     EdgeId copy = result.GetOrAddEdge(*copy_src, *copy_dst);
-    graph.edge_presence().ForEachSetBitMasked(e, view.times.bits(), [&](std::size_t t) {
-      result.SetEdgePresent(copy, static_cast<TimeId>(t));
+    view.times.ForEach([&](TimeId t) {
+      if (graph.EdgePresentAt(e, t)) result.SetEdgePresent(copy, t);
     });
     for (std::uint32_t a = 0; a < graph.num_static_edge_attributes(); ++a) {
       AttrValueId code = graph.static_edge_attribute(a).CodeAt(e);

@@ -6,9 +6,7 @@ namespace graphtempo {
 
 TemporalGraph::TemporalGraph(std::vector<std::string> time_labels)
     : time_labels_(std::move(time_labels)),
-      node_presence_(time_labels_.size()),
       node_index_cols_(time_labels_.size()),
-      edge_presence_(time_labels_.size()),
       edge_index_cols_(time_labels_.size()) {
   GT_CHECK(!time_labels_.empty()) << "time domain must be non-empty";
   time_mutation_generations_.assign(time_labels_.size(), 0);
@@ -39,8 +37,6 @@ TimeId TemporalGraph::AppendTimePoint(std::string_view label) {
   time_mutation_generations_.push_back(mutation_generation_);
   bool inserted = time_index_.emplace(time_labels_.back(), id).second;
   GT_CHECK(inserted) << "duplicate time label: " << label;
-  node_presence_.AddColumns(1);
-  edge_presence_.AddColumns(1);
   node_index_cols_.AddTimePoints(1);
   edge_index_cols_.AddTimePoints(1);
   for (auto& column : varying_attrs_) column.AppendTimes(1);
@@ -82,7 +78,6 @@ NodeId TemporalGraph::AddNode(std::string_view label) {
   NodeId id = static_cast<NodeId>(node_labels_.size());
   node_labels_.emplace_back(label);
   node_index_.emplace(node_labels_.back(), id);
-  node_presence_.AddRows(1);
   node_index_cols_.AddEntities(1);
   for (auto& column : static_attrs_) column.Resize(node_labels_.size());
   for (auto& column : varying_attrs_) column.Resize(node_labels_.size());
@@ -105,7 +100,6 @@ EdgeId TemporalGraph::GetOrAddEdge(NodeId src, NodeId dst) {
   EdgeId id = static_cast<EdgeId>(edge_endpoints_.size());
   edge_endpoints_.emplace_back(src, dst);
   edge_index_.emplace(key, id);
-  edge_presence_.AddRows(1);
   edge_index_cols_.AddEntities(1);
   for (auto& column : static_edge_attrs_) column.Resize(edge_endpoints_.size());
   for (auto& column : varying_edge_attrs_) column.Resize(edge_endpoints_.size());
@@ -115,18 +109,14 @@ EdgeId TemporalGraph::GetOrAddEdge(NodeId src, NodeId dst) {
 void TemporalGraph::SetNodePresent(NodeId n, TimeId t) {
   ++mutation_generation_;
   MarkTimeMutated(t);
-  node_presence_.Set(n, t);
   node_index_cols_.Set(n, t);
 }
 
 void TemporalGraph::SetEdgePresent(EdgeId e, TimeId t) {
   ++mutation_generation_;
   MarkTimeMutated(t);
-  edge_presence_.Set(e, t);
   edge_index_cols_.Set(e, t);
   auto [src, dst] = edge(e);
-  node_presence_.Set(src, t);
-  node_presence_.Set(dst, t);
   node_index_cols_.Set(src, t);
   node_index_cols_.Set(dst, t);
 }
@@ -219,18 +209,20 @@ std::pair<NodeId, NodeId> TemporalGraph::edge(EdgeId e) const {
 }
 
 IntervalSet TemporalGraph::NodeTimes(NodeId n) const {
-  IntervalSet all = IntervalSet::All(num_times());
+  GT_CHECK_LT(n, num_nodes()) << "node out of range";
   IntervalSet result(num_times());
-  node_presence_.ForEachSetBitMasked(n, all.bits(),
-                                     [&](std::size_t t) { result.Add(static_cast<TimeId>(t)); });
+  for (TimeId t = 0; t < num_times(); ++t) {
+    if (NodePresentAt(n, t)) result.Add(t);
+  }
   return result;
 }
 
 IntervalSet TemporalGraph::EdgeTimes(EdgeId e) const {
-  IntervalSet all = IntervalSet::All(num_times());
+  GT_CHECK_LT(e, num_edges()) << "edge out of range";
   IntervalSet result(num_times());
-  edge_presence_.ForEachSetBitMasked(e, all.bits(),
-                                     [&](std::size_t t) { result.Add(static_cast<TimeId>(t)); });
+  for (TimeId t = 0; t < num_times(); ++t) {
+    if (EdgePresentAt(e, t)) result.Add(t);
+  }
   return result;
 }
 

@@ -7,9 +7,19 @@
 
 namespace graphtempo {
 
+namespace {
+
+/// The cube's engine keeps no result cache; its derivation layers memoize.
+engine::QueryEngine::Config CubeEngineConfig() {
+  engine::QueryEngine::Config config;
+  config.cache_capacity = 0;
+  return config;
+}
+
+}  // namespace
+
 AggregateCube::AggregateCube(const TemporalGraph* graph, std::vector<AttrRef> base_attrs)
-    : base_attrs_(std::move(base_attrs)),
-      engine_(graph, engine::QueryEngine::Config{/*cache_capacity=*/0}) {
+    : base_attrs_(std::move(base_attrs)), engine_(graph, CubeEngineConfig()) {
   GT_CHECK_LE(base_attrs_.size(), AttrTuple::kMaxAttrs) << "too many base attributes";
   GT_CHECK(!base_attrs_.empty()) << "materialization needs at least one attribute";
 }

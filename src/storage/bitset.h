@@ -135,7 +135,8 @@ class DynamicBitset {
   /// Number of set bits inside words [word_begin, word_end).
   std::size_t CountWordRange(std::size_t word_begin, std::size_t word_end) const;
 
-  /// Raw word access used by BitMatrix's masked row predicates.
+  /// Raw word access for whole-set readers (interval comparison, snapshot
+  /// compression).
   const std::vector<std::uint64_t>& words() const { return words_; }
 
   /// Mutable raw word access for the word-parallel kernels (fold loops write

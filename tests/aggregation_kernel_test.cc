@@ -84,7 +84,7 @@ std::vector<NamedView> Views(const TemporalGraph& graph, std::uint64_t seed) {
     // the deleted edges keep endpoints that are not view nodes.
     GraphView bare = DifferenceOp(graph, t1, t2);
     std::erase_if(bare.nodes, [&](NodeId n) {
-      return graph.node_presence().RowAnyMasked(n, t2.bits());
+      return graph.NodeTimes(n).Intersects(t2);
     });
     views.push_back({"difference without endpoints" + tag, std::move(bare)});
     if (!t1.Empty()) views.push_back({"project" + tag, Project(graph, t1)});

@@ -22,7 +22,6 @@
 #include "datagen/random.h"
 #include "reference_impl.h"
 #include "server/ingest.h"
-#include "storage/bit_matrix.h"
 #include "test_graphs.h"
 #include "util/check.h"
 
@@ -32,52 +31,6 @@ namespace {
 using testing::BuildPaperGraph;
 
 // --- Storage layer --------------------------------------------------------------
-
-TEST(BitMatrixAddColumnsTest, WithinWordKeepsData) {
-  BitMatrix matrix(10);
-  matrix.AddRows(2);
-  matrix.Set(0, 3);
-  matrix.Set(1, 9);
-  matrix.AddColumns(5);
-  EXPECT_EQ(matrix.columns(), 15u);
-  EXPECT_TRUE(matrix.Test(0, 3));
-  EXPECT_TRUE(matrix.Test(1, 9));
-  for (std::size_t c = 10; c < 15; ++c) {
-    EXPECT_FALSE(matrix.Test(0, c));
-    EXPECT_FALSE(matrix.Test(1, c));
-  }
-  matrix.Set(0, 14);
-  EXPECT_TRUE(matrix.Test(0, 14));
-}
-
-TEST(BitMatrixAddColumnsTest, AcrossWordBoundaryRelaysOut) {
-  BitMatrix matrix(64);
-  matrix.AddRows(3);
-  matrix.Set(0, 0);
-  matrix.Set(1, 63);
-  matrix.Set(2, 30);
-  matrix.AddColumns(2);  // 64 → 66 columns: words per row 1 → 2
-  EXPECT_EQ(matrix.columns(), 66u);
-  EXPECT_TRUE(matrix.Test(0, 0));
-  EXPECT_TRUE(matrix.Test(1, 63));
-  EXPECT_TRUE(matrix.Test(2, 30));
-  EXPECT_FALSE(matrix.Test(0, 64));
-  EXPECT_FALSE(matrix.Test(1, 65));
-  matrix.Set(0, 65);
-  EXPECT_TRUE(matrix.Test(0, 65));
-  EXPECT_EQ(matrix.RowCount(0), 2u);
-}
-
-TEST(BitMatrixAddColumnsTest, MaskedPredicatesWorkAfterGrowth) {
-  BitMatrix matrix(3);
-  matrix.AddRows(1);
-  matrix.Set(0, 1);
-  matrix.AddColumns(70);
-  DynamicBitset mask(73);
-  mask.SetAll();
-  EXPECT_TRUE(matrix.RowAnyMasked(0, mask));
-  EXPECT_EQ(matrix.RowCountMasked(0, mask), 1u);
-}
 
 TEST(TimeVaryingColumnAppendTest, KeepsValuesAndAddsEmptyCells) {
   TimeVaryingColumn column("pubs", 2);
@@ -142,6 +95,82 @@ TEST(AppendTimePointTest, OperatorsRejectStaleIntervals) {
   IntervalSet stale = IntervalSet::Point(3, 0);
   graph.AppendTimePoint("t3");
   EXPECT_DEATH(Project(graph, stale), "different time domain");
+}
+
+/// A graph grown point by point to 130 time points, so that presence read
+/// per entity spans three 64-bit words: entities appear at 63/64/65 and
+/// 127/128/129, on both sides of each word boundary.
+TEST(AppendTimePointTest, PresenceAcrossWordBoundaries) {
+  TemporalGraph graph({"p0"});
+  const std::uint32_t color = graph.AddStaticAttribute("color");
+  const std::uint32_t level = graph.AddTimeVaryingAttribute("level");
+  const NodeId a = graph.AddNode("a");
+  const NodeId b = graph.AddNode("b");
+  const NodeId c = graph.AddNode("c");
+  graph.SetStaticValue(color, a, "red");
+  graph.SetStaticValue(color, b, "blue");
+  graph.SetStaticValue(color, c, "red");
+  const EdgeId ab = graph.GetOrAddEdge(a, b);
+  const EdgeId bc = graph.GetOrAddEdge(b, c);
+  for (std::size_t t = 1; t < 130; ++t) graph.AppendTimePoint("p" + std::to_string(t));
+  ASSERT_EQ(graph.num_times(), 130u);
+  const std::size_t n = graph.num_times();
+
+  IntervalSet boundary(n);
+  for (TimeId t : {63u, 64u, 65u, 127u, 128u, 129u}) {
+    boundary.Add(t);
+    graph.SetEdgePresent(ab, t);
+    graph.SetTimeVaryingValue(level, a, t, t < 100 ? "low" : "high");
+    graph.SetTimeVaryingValue(level, b, t, t % 2 == 0 ? "low" : "mid");
+  }
+  graph.SetEdgePresent(bc, 64);
+  graph.SetEdgePresent(bc, 128);
+  graph.SetNodePresent(c, 0);
+  graph.SetTimeVaryingValue(level, c, 128, "high");
+
+  EXPECT_EQ(graph.NodeTimes(a), boundary);
+  EXPECT_EQ(graph.NodeTimes(b), boundary);
+  EXPECT_EQ(graph.EdgeTimes(ab), boundary);
+  IntervalSet bc_times(n);
+  bc_times.Add(64);
+  bc_times.Add(128);
+  EXPECT_EQ(graph.EdgeTimes(bc), bc_times);
+  bc_times.Add(0);
+  EXPECT_EQ(graph.NodeTimes(c), bc_times);
+  for (TimeId t = 0; t < n; ++t) {
+    EXPECT_EQ(graph.NodePresentAt(a, t), boundary.Contains(t)) << "t=" << t;
+    EXPECT_EQ(graph.EdgePresentAt(ab, t), boundary.Contains(t)) << "t=" << t;
+  }
+  EXPECT_EQ(graph.NodesAt(64), 3u);
+  EXPECT_EQ(graph.EdgesAt(129), 1u);
+
+  // Answers over intervals that cross the 64 and 128 boundaries.
+  const IntervalSet low = IntervalSet::Range(n, 60, 66);
+  const IntervalSet high = IntervalSet::Range(n, 120, 129);
+  const IntervalSet across = IntervalSet::Range(n, 62, 129);
+  for (const std::vector<std::string>& names :
+       std::vector<std::vector<std::string>>{{"color"}, {"level"}, {"color", "level"}}) {
+    const std::vector<AttrRef> attrs = ResolveAttributes(graph, names);
+    const std::string set = names.size() == 1 ? names[0] : "color,level";
+    for (const GraphView& view :
+         {UnionOp(graph, low, high), IntersectionOp(graph, low, high),
+          DifferenceOp(graph, across, IntervalSet::Point(n, 64)),
+          DifferenceOp(graph, high, low), Project(graph, IntervalSet::Point(n, 128)),
+          UnionOp(graph, across, across)}) {
+      for (const auto semantics :
+           {AggregationSemantics::kDistinct, AggregationSemantics::kAll}) {
+        EXPECT_EQ(Aggregate(graph, view, attrs, semantics),
+                  testing::RefAggregate(graph, view, attrs, semantics))
+            << set;
+      }
+    }
+    for (const auto& [t_old, t_new] : std::vector<std::pair<IntervalSet, IntervalSet>>{
+             {low, high}, {across, IntervalSet::Point(n, 129)}, {high, across}}) {
+      EXPECT_EQ(AggregateEvolution(graph, t_old, t_new, attrs),
+                testing::RefAggregateEvolution(graph, t_old, t_new, attrs))
+          << set;
+    }
+  }
 }
 
 TEST(AppendTimePointDeath, DuplicateLabelAborts) {

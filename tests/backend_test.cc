@@ -8,8 +8,8 @@
 #include "accel/backend.h"
 #include "core/aggregation.h"
 #include "core/operators.h"
+#include "core/presence_index.h"
 #include "datagen/random.h"
-#include "storage/bit_matrix.h"
 #include "storage/bitset.h"
 #include "test_graphs.h"
 #include "util/parallel.h"
@@ -21,9 +21,9 @@
 ///     kernel by kernel, on fuzzed word arrays (empty, all-ones, sparse,
 ///     dense, unaligned lengths);
 ///   * the tail-word regression: bitset lengths ±1 around word boundaries
-///     (63/64/65, 127/128/129) through the DynamicBitset/BitMatrix entry
-///     points, where extraction and the masked popcount must treat the
-///     final partial word identically on every backend;
+///     (63/64/65, 127/128/129) through the DynamicBitset/PresenceIndex entry
+///     points, where extraction, popcounts and the column folds must treat
+///     the final partial word identically on every backend;
 ///   * end-to-end: operators + Algorithm-2 aggregation with the backend
 ///     forced, at 1/2/7/16 threads, bit-identical to scalar at 1 thread.
 ///
@@ -202,7 +202,7 @@ TEST_F(BackendTest, DifferentialFuzzAgainstScalar) {
 }
 
 /// The tail-word regression of the bugfix satellite: lengths ±1 around word
-/// boundaries, driven through the public DynamicBitset/BitMatrix entry
+/// boundaries, driven through the public DynamicBitset/PresenceIndex entry
 /// points with the backend forced process-wide. Every backend must treat
 /// the final partial word identically — the padding bits stay zero, so
 /// Count/extract/ops agree bit-for-bit with scalar.
@@ -234,12 +234,19 @@ TEST_F(BackendTest, TailWordBoundaryRegression) {
       const DynamicBitset or_ref = base_a | base_b;
       const DynamicBitset diff_ref = base_a - base_b;
 
-      BitMatrix matrix(bits);
-      matrix.AddRows(1);
-      for (std::size_t i = 0; i < bits; ++i) {
-        if (base_a.Test(i)) matrix.Set(0, i, true);
-      }
-      const std::size_t row_masked_ref = matrix.RowCountMasked(0, base_b);
+      // A presence index over `bits` entities with the two sets as its
+      // columns, built afresh under each backend so that its fold tables are
+      // that backend's.
+      DynamicBitset both_times(2);
+      both_times.SetAll();
+      auto make_index = [&] {
+        PresenceIndex index(2);
+        index.AddEntities(bits);
+        base_a.ForEachSetBit([&](std::size_t i) { index.Set(i, 0); });
+        base_b.ForEachSetBit([&](std::size_t i) { index.Set(i, 1); });
+        return index;
+      };
+      const std::size_t appearances_ref = count_ref + base_b.Count();
 
       for (const accel::KernelBackend* backend : VectorizedBackends()) {
         SCOPED_TRACE(std::string(backend->name) + " bits=" + std::to_string(bits) +
@@ -250,7 +257,11 @@ TEST_F(BackendTest, TailWordBoundaryRegression) {
         EXPECT_EQ(base_a & base_b, and_ref);
         EXPECT_EQ(base_a | base_b, or_ref);
         EXPECT_EQ(base_a - base_b, diff_ref);
-        EXPECT_EQ(matrix.RowCountMasked(0, base_b), row_masked_ref);
+        const PresenceIndex index = make_index();
+        EXPECT_EQ(index.UnionOver(both_times), or_ref);
+        EXPECT_EQ(index.IntersectionOver(both_times), and_ref);
+        EXPECT_EQ(index.CountAt(0), count_ref);
+        EXPECT_EQ(index.AppearancesOver(both_times), appearances_ref);
       }
       ASSERT_TRUE(accel::SetActiveBackend("auto"));
     }

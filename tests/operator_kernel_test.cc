@@ -18,7 +18,8 @@
 /// (docs/KERNELS.md) against their entity-at-a-time references:
 ///
 ///   * the four temporal operators on the column-major PresenceIndex vs the
-///     *RowScan implementations over the row-major BitMatrix;
+///     per-entity *RowScan references (reference_impl.h), which read
+///     presence one (entity, time) at a time;
 ///   * the dense (packed-code flat array) aggregation grouping vs the
 ///     hash-map reference;
 ///   * the PresenceIndex sparse-table folds vs direct column folds.
@@ -31,6 +32,10 @@ namespace graphtempo {
 namespace {
 
 using testing::BuildRandomGraph;
+using testing::DifferenceOpRowScan;
+using testing::IntersectionOpRowScan;
+using testing::ProjectRowScan;
+using testing::UnionOpRowScan;
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 7, 16};
 

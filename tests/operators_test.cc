@@ -218,11 +218,11 @@ TEST_P(OperatorAlgebraTest, EveryViewEntityExistsInItsInterval) {
   for (const GraphView& view : {UnionOp(graph, a, b), IntersectionOp(graph, a, b),
                                 DifferenceOp(graph, a, b)}) {
     for (NodeId n : view.nodes) {
-      EXPECT_TRUE(graph.node_presence().RowAnyMasked(n, view.times.bits()))
+      EXPECT_TRUE(graph.NodeTimes(n).Intersects(view.times))
           << "node " << n << " has no presence in the view interval";
     }
     for (EdgeId e : view.edges) {
-      EXPECT_TRUE(graph.edge_presence().RowAnyMasked(e, view.times.bits()));
+      EXPECT_TRUE(graph.EdgeTimes(e).Intersects(view.times));
     }
   }
 }

@@ -117,8 +117,7 @@ TEST_P(PropertyTest, AllNodeWeightEqualsAppearanceCount) {
   AggregateGraph agg = Aggregate(graph_, view, attrs, AggregationSemantics::kAll);
   Weight appearances = 0;
   for (NodeId node : view.nodes) {
-    appearances += static_cast<Weight>(
-        graph_.node_presence().RowCountMasked(node, view.times.bits()));
+    appearances += static_cast<Weight>((graph_.NodeTimes(node) & view.times).Count());
   }
   EXPECT_EQ(agg.TotalNodeWeight(), appearances);
 }
