@@ -24,8 +24,9 @@ namespace graphtempo::internal_exploration {
 ///   * popcount(event) for raw selectors and static DIST totals selectors,
 ///     and popcount(event ∧ match) for static DIST tuple filters, with the
 ///     match bitset built once per engine from packed codes;
-///   * otherwise one walk over each event entity's presence row under the
-///     event's time set, reading per-appearance codes from `NodeCodes`
+///   * otherwise one walk over the event entities' appearances in the
+///     event's time set, a word of entities at a time off the presence
+///     columns (`SlotColumns`), reading per-appearance codes from `NodeCodes`
 ///     hoisted once per engine: distinct codes (DIST) or appearances (ALL)
 ///     for a totals selector, the target code's presence (DIST) or its
 ///     appearances (ALL) for a tuple filter.

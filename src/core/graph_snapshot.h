@@ -23,9 +23,8 @@
 /// Loading decodes dictionaries and code arrays eagerly (they are cheap and
 /// needed for any query) but hands presence columns to `PresenceIndex`
 /// still compressed — each column decodes on first touch, so boot cost is
-/// proportional to what the workload reads. The row-major presence matrices
-/// are rebuilt at load (they back per-entity accessors and have no lazy
-/// seam).
+/// proportional to what the workload reads. The columns are the graph's
+/// only presence store; nothing else is built from them at load.
 ///
 /// Every validation failure — bad magic, checksum, truncation, out-of-range
 /// ids or codes, wrong counts — fails closed: nullopt plus one diagnostic,
